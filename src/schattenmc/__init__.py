@@ -27,9 +27,10 @@ from .linalg import (
     ThinSVD,
     frobenius_norm,
     nuclear_norm,
-    spectral_norm,
     thin_svd,
 )
+# exported alias; linalg binds each function under one name only
+from .linalg import sigma_max as spectral_norm
 from .metrics import BoundTerms, EvalReport, bound_terms, psnr, rmse, rse
 from .palm import (
     InitStrategy,

@@ -2,9 +2,9 @@
 
 Thin SVDs and singular values go straight to LAPACK through
 ``np.linalg.svd`` (``full_matrices=False`` / ``compute_uv=False``), which
-also batches over stacks of small matrices.  A LAPACK convergence failure
-surfaces as ``NumericalError``.  ``spectral_norm`` runs power iteration on
-the smaller Gram matrix.
+also batches over stacks of small matrices; the spectral norm is the top
+singular value of that route.  A LAPACK convergence failure surfaces as
+``NumericalError``.
 
 Derived scalar norms and rank decisions trim singular values below
 ``SIGMA_TRIM_REL * sigma_1``.
@@ -17,11 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-JACOBI_OFF_TOL = 1e-14  # relative off-diagonal Frobenius mass at convergence
-JACOBI_SWEEP_CAP = 100
-POWER_RTOL = 1e-12  # relative change of successive Rayleigh quotients
-POWER_ITER_CAP = 10_000
-
 # Numerical-rank / norm-trim threshold.  LAPACK's noise floor is near
 # eps * sigma_1, far below this, so the value is not a precision limit; it is
 # kept because every derived norm, rank count and frozen acceptance value in
@@ -30,8 +25,8 @@ SIGMA_TRIM_REL = 1e-7
 
 
 class NumericalError(RuntimeError):
-    """A numerical kernel failed: an iterative loop exhausted its cap, or
-    LAPACK's SVD did not converge."""
+    """A numerical kernel failed: LAPACK's SVD did not converge, or an
+    iterate overflowed."""
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -55,80 +50,6 @@ class ThinSVD:
     left: np.ndarray
     singular_values: np.ndarray
     right: np.ndarray
-
-
-def _jacobi_eigh(sym: np.ndarray, need_vectors: bool = True):
-    """Cyclic Jacobi eigendecomposition of a small symmetric matrix.
-
-    Returns eigenvalues sorted non-increasing (stable order on ties) and,
-    optionally, the matching orthonormal eigenvectors as columns.
-    """
-    a = np.array(sym, dtype=np.float64)
-    k = a.shape[0]
-    vecs = np.eye(k) if need_vectors else None
-    total = float(np.sum(a * a))
-    if k > 1 and total > 0.0:
-        threshold = (JACOBI_OFF_TOL**2) * total
-        sweeps = 0
-        while True:
-            offdiag = a.copy()
-            np.fill_diagonal(offdiag, 0.0)
-            if float(np.sum(offdiag * offdiag)) <= threshold:
-                break
-            if sweeps >= JACOBI_SWEEP_CAP:
-                raise NumericalError(
-                    f"Jacobi eigensolver: off-diagonal mass not below tolerance "
-                    f"after {JACOBI_SWEEP_CAP} sweeps"
-                )
-            for p in range(k - 1):
-                for q in range(p + 1, k):
-                    apq = float(a[p, q])
-                    if apq == 0.0:
-                        continue
-                    app = float(a[p, p])
-                    aqq = float(a[q, q])
-                    theta = 0.5 * (aqq - app) / apq
-                    if abs(theta) > 1e153:  # avoid overflow in theta*theta
-                        t = 0.5 / theta
-                    else:
-                        t = math.copysign(1.0, theta) / (
-                            abs(theta) + math.sqrt(theta * theta + 1.0)
-                        )
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    rp = a[p, :].copy()
-                    rq = a[q, :].copy()
-                    a[p, :] = c * rp - s * rq
-                    a[q, :] = s * rp + c * rq
-                    cp = a[:, p].copy()
-                    cq = a[:, q].copy()
-                    a[:, p] = c * cp - s * cq
-                    a[:, q] = s * cp + c * cq
-                    a[p, p] = app - t * apq
-                    a[q, q] = aqq + t * apq
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    if need_vectors:
-                        vp = vecs[:, p].copy()
-                        vq = vecs[:, q].copy()
-                        vecs[:, p] = c * vp - s * vq
-                        vecs[:, q] = s * vp + c * vq
-            sweeps += 1
-    evals = np.diagonal(a).copy()
-    order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
-    if need_vectors:
-        vecs = vecs[:, order]
-    return evals, vecs
-
-
-def _gram_scale(a: np.ndarray) -> float:
-    """Rescaling factor applied before forming a^T a, nonzero only when the
-    entry magnitude would underflow or overflow the squared Gram entries."""
-    peak = float(np.max(np.abs(a))) if a.size else 0.0
-    if peak != 0.0 and not (1e-100 < peak < 1e100):
-        return peak
-    return 1.0
 
 
 def _svd(a: np.ndarray, compute_uv: bool):
@@ -181,55 +102,12 @@ def nuclear_norms_stack(a_stack: np.ndarray) -> np.ndarray:
     return np.sum(singular_values_stack(a_stack), axis=1)
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value, by power iteration on the smaller Gram matrix.
-
-    Deterministic (all-ones start vector); converges when successive
-    Rayleigh quotients agree to POWER_RTOL relative.  Returns 0.0 for the
-    zero matrix; raises NumericalError past the iteration cap.
-    """
-    a = as_matrix(a)
-    m, n = a.shape
-    if m == 0 or n == 0:
-        raise ValueError("spectral_norm requires nonzero dimensions")
-    scale = _gram_scale(a)
-    if scale != 1.0:
-        a = a / scale
-    g = a.T @ a if n <= m else a @ a.T
-    if float(np.sum(g * g)) == 0.0:
-        return 0.0
-    k = g.shape[0]
-    b = np.full(k, 1.0 / math.sqrt(k))
-    prev = None
-    fill = 0
-    for _ in range(POWER_ITER_CAP):
-        y = g @ b
-        ray = float(b @ y)
-        ynorm = math.sqrt(float(y @ y))
-        if ynorm == 0.0:
-            # start vector fell in the null space: restart on canonical axes
-            if fill >= k:
-                return 0.0
-            b = np.zeros(k)
-            b[fill] = 1.0
-            fill += 1
-            prev = None
-            continue
-        if prev is not None and abs(ray - prev) <= POWER_RTOL * max(abs(ray), 1e-300):
-            return math.sqrt(max(ray, 0.0)) * scale
-        prev = ray
-        b = y / ynorm
-    raise NumericalError(
-        f"power iteration: Rayleigh quotient did not settle within "
-        f"{POWER_ITER_CAP} iterations"
-    )
-
-
 def sigma_max(a) -> float:
-    """Largest singular value from LAPACK's singular values (exact to machine
-    precision even for clustered spectra, unlike the power iteration)."""
+    """Spectral norm: the largest of LAPACK's singular values (exact to
+    machine precision even for clustered spectra); 0.0 for an empty matrix."""
     s = singular_values(a, trim=False)
     return float(s[0]) if s.size else 0.0
+
 
 
 def nuclear_norm(a) -> float:

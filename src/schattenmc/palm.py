@@ -28,6 +28,7 @@ from .linalg import (
     frobenius_norm,
     nuclear_norm,
     sigma_max,
+    singular_values,
     thin_svd,
 )
 from .quasinorm import FactorPair, Regularizer
@@ -64,7 +65,7 @@ __all__ = [
 LIPSCHITZ_FLOOR = 1e-12
 
 # Subspace-iteration depth for the spectral initializer.
-_INIT_POWER_ITERS = 30
+_INIT_SUBSPACE_ITERS = 30
 
 
 class InitStrategy(Enum):
@@ -76,8 +77,7 @@ class InitStrategy(Enum):
 class SolverConfig:
     """Solver inputs: penalty choice, lam >= 0, rank bound d, stopping rule.
 
-    ``epsilon`` is an absolute Frobenius threshold on factor changes; set
-    ``relative_stop`` to divide each change by max(1, ||factor||_F) instead.
+    ``epsilon`` is an absolute Frobenius threshold on factor changes.
     """
 
     reg: Regularizer
@@ -87,7 +87,6 @@ class SolverConfig:
     max_iters: int = 1000
     init: InitStrategy = InitStrategy.SPECTRAL_SCALED
     seed: int = 0
-    relative_stop: bool = False
 
     def __post_init__(self):
         if self.lam < 0:
@@ -153,8 +152,9 @@ def svt_prox(a, tau: float) -> np.ndarray:
 
 
 def _svt(a, tau):
+    """Shrinkage of ``a`` and the singular values of the result."""
     if tau == 0.0:
-        return a.copy(), None
+        return a.copy(), singular_values(a, trim=False)
     f = thin_svd(a)
     shrunk = np.maximum(f.singular_values - tau, 0.0)
     return (f.left * shrunk) @ f.right.T, shrunk
@@ -184,12 +184,27 @@ def lipschitz_h(u) -> float:
     return sigma_max(u) ** 2
 
 
+def _penalty(lam: float, fn: bool, nuc_u: float, v_term: float) -> float:
+    """lam times the factored penalty, from ||U||_* and the V term
+    (||V||_F^2 for FN, ||V||_* for BIN)."""
+    if fn:
+        return lam * (2.0 * nuc_u + v_term) / 3.0
+    return lam * (nuc_u + v_term) / 2.0
+
+
 def _reg_term(u, v, config: SolverConfig) -> float:
     if config.lam == 0.0:
         return 0.0
-    if config.reg is Regularizer.FN:
-        return config.lam * (2.0 * nuclear_norm(u) + frobenius_norm(v) ** 2) / 3.0
-    return config.lam * (nuclear_norm(u) + nuclear_norm(v)) / 2.0
+    fn = config.reg is Regularizer.FN
+    v_term = frobenius_norm(v) ** 2 if fn else nuclear_norm(v)
+    return _penalty(config.lam, fn, nuclear_norm(u), v_term)
+
+
+def _finite(block: np.ndarray, name: str) -> np.ndarray:
+    """Pass ``block`` through, or raise NumericalError if it overflowed."""
+    if not np.isfinite(block).all():
+        raise NumericalError(f"{name} has non-finite entries (overflow)")
+    return block
 
 
 def objective(fp: FactorPair, obs: SparseObservations, config: SolverConfig) -> float:
@@ -198,49 +213,36 @@ def objective(fp: FactorPair, obs: SparseObservations, config: SolverConfig) -> 
     return _reg_term(fp.u, fp.v, config) + 0.5 * r.sq_norm()
 
 
-def _step_core(u, v, r: SparseResidual, obs, config: SolverConfig, sig_v=None):
-    """One alternation from (u, v) with residual r at (u, v).
+def _step_core(u, v, sig_v: float, r: SparseResidual, obs, config: SolverConfig):
+    """One alternation from (u, v), given sig_v = ||v||_2 and the residual r
+    at (u, v).
 
-    Returns (u1, v1, l_g, l_h, r_next, reg_val, sig_v1).  r_next is the
-    residual at (u1, v1); reg_val the penalty there, assembled from the
-    shrunk singular values so the trace costs no extra SVDs.  ``sig_v``
-    optionally carries ||v||_2 from the previous step's shrinkage (the
-    shrunk spectrum is the new factor's spectrum); ``sig_v1`` hands the
-    same shortcut to the next step when the V-update produced one.
+    Returns (u1, v1, sig_v1, l_g, l_h, r_next, reg_val): sig_v1 = ||v1||_2,
+    r_next the residual at (u1, v1), and reg_val the penalty there.  The
+    shrunk spectra are the new factors' spectra, so the next Lipschitz
+    constants and the penalty cost no extra SVDs.
     """
     lam = config.lam
     fn = config.reg is Regularizer.FN
     coeff = config.shrink_coeff()
 
-    l_g = max((sig_v if sig_v is not None else sigma_max(v)) ** 2, LIPSCHITZ_FLOOR)
-    u1, su = _svt(u - grad_u(r, v) / l_g, coeff / l_g)
-
-    sig_u1 = float(su[0]) if su is not None and su.size else None
-    l_h = max(
-        (sig_u1 if sig_u1 is not None else sigma_max(u1)) ** 2, LIPSCHITZ_FLOOR
-    )
+    l_g = max(sig_v**2, LIPSCHITZ_FLOOR)
+    u1, su = _svt(_finite(u - grad_u(r, v) / l_g, "U step"), coeff / l_g)
+    l_h = max(float(su[0]) ** 2, LIPSCHITZ_FLOOR)
     r_mid = masked_residual(u1, v, obs)
-    b_v = v - grad_v(r_mid, u1) / l_h
+    b_v = _finite(v - grad_v(r_mid, u1) / l_h, "V step")
     if fn:
         v1 = frob_prox(b_v, l_h, lam)
-        sv = None
-        sig_v1 = None
+        sig_v1 = sigma_max(v1)
+        v_term = frobenius_norm(v1) ** 2
     else:
         v1, sv = _svt(b_v, coeff / l_h)
-        sig_v1 = float(sv[0]) if sv is not None and sv.size else None
-
-    if lam == 0.0:
-        reg_val = 0.0
-    else:
-        nuc_u = float(np.sum(su)) if su is not None else nuclear_norm(u1)
-        if fn:
-            reg_val = lam * (2.0 * nuc_u + frobenius_norm(v1) ** 2) / 3.0
-        else:
-            nuc_v = float(np.sum(sv)) if sv is not None else nuclear_norm(v1)
-            reg_val = lam * (nuc_u + nuc_v) / 2.0
+        sig_v1 = float(sv[0])
+        v_term = float(np.sum(sv))
+    reg_val = _penalty(lam, fn, float(np.sum(su)), v_term)
 
     r_next = masked_residual(u1, v1, obs)
-    return u1, v1, l_g, l_h, r_next, reg_val, sig_v1
+    return u1, v1, sig_v1, l_g, l_h, r_next, reg_val
 
 
 def step(fp: FactorPair, obs: SparseObservations, config: SolverConfig):
@@ -249,7 +251,7 @@ def step(fp: FactorPair, obs: SparseObservations, config: SolverConfig):
     Lipschitz constants are recomputed fresh from the current iterate.
     """
     r = masked_residual(fp.u, fp.v, obs)
-    u1, v1, l_g, l_h, _, _, _ = _step_core(fp.u, fp.v, r, obs, config)
+    u1, v1, _, l_g, l_h, _, _ = _step_core(fp.u, fp.v, sigma_max(fp.v), r, obs, config)
     return FactorPair(u1, v1), l_g, l_h
 
 
@@ -266,33 +268,30 @@ def solve(obs: SparseObservations, config: SolverConfig) -> SolveReport:
     convergence flag, and first-order optimality diagnostics at the final
     iterate.  Deterministic for a fixed config.
     """
-    fp0 = initial_factors(obs, config)
-    u, v = fp0.u, fp0.v
-    r = masked_residual(u, v, obs)
-    trace = [_reg_term(u, v, config) + 0.5 * r.sq_norm()]
-    lips = []
+    trace, lips = [], []
     converged = False
     iterations = 0
-    sig_v = None
-    for k in range(config.max_iters):
-        try:
-            u1, v1, l_g, l_h, r_next, reg_val, sig_v = _step_core(
-                u, v, r, obs, config, sig_v
+    try:
+        fp0 = initial_factors(obs, config)
+        u, v = fp0.u, fp0.v
+        r = masked_residual(u, v, obs)
+        trace.append(_reg_term(u, v, config) + 0.5 * r.sq_norm())
+        sig_v = sigma_max(v)
+        for k in range(config.max_iters):
+            u1, v1, sig_v, l_g, l_h, r_next, reg_val = _step_core(
+                u, v, sig_v, r, obs, config
             )
-        except NumericalError as exc:
-            raise SolveFailure(str(exc), trace) from exc
-        trace.append(reg_val + 0.5 * r_next.sq_norm())
-        lips.append((l_g, l_h))
-        du = _delta(u1, u)
-        dv = _delta(v1, v)
-        if config.relative_stop:
-            du /= max(1.0, frobenius_norm(u1))
-            dv /= max(1.0, frobenius_norm(v1))
-        u, v, r = u1, v1, r_next
-        iterations = k + 1
-        if max(du, dv) < config.epsilon:
-            converged = True
-            break
+            trace.append(reg_val + 0.5 * r_next.sq_norm())
+            lips.append((l_g, l_h))
+            du = _delta(u1, u)
+            dv = _delta(v1, v)
+            u, v, r = u1, v1, r_next
+            iterations = k + 1
+            if max(du, dv) < config.epsilon:
+                converged = True
+                break
+    except NumericalError as exc:
+        raise SolveFailure(str(exc), trace) from exc
     final = FactorPair(u, v)
     return SolveReport(
         factors=final,
@@ -325,46 +324,17 @@ def optimality_residual(
     return OptimalityReport(q_spectral, gap, c2, c2_lower, degenerate)
 
 
-def _orthonormal_columns(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for the column span, deficient columns completed."""
-    m, k = a.shape
-    out = np.zeros((m, k))
-    fill = 0
-    for i in range(k):
-        col = a[:, i].copy()
-        prev = out[:, :i]
-        if i:
-            col -= prev @ (prev.T @ col)
-            col -= prev @ (prev.T @ col)
-        scale = math.sqrt(float(a[:, i] @ a[:, i])) or 1.0
-        nrm = math.sqrt(float(col @ col))
-        if nrm > 1e-10 * scale and nrm > 0.0:
-            out[:, i] = col / nrm
-            continue
-        while fill < m:
-            cand = np.zeros(m)
-            cand[fill] = 1.0
-            fill += 1
-            cand -= prev @ (prev.T @ cand)
-            cand -= prev @ (prev.T @ cand)
-            nrm = math.sqrt(float(cand @ cand))
-            if nrm > 0.5:
-                out[:, i] = cand / nrm
-                break
-        else:
-            raise NumericalError("cannot complete orthonormal basis")
-    return out
-
-
 def _truncated_sparse_svd(obs: SparseObservations, values, k: int, rng):
-    """Leading-k singular triplets of the sparse matrix by subspace iteration."""
-    q = _orthonormal_columns(rng.standard_normal((obs.n, k)))
-    y = None
-    for _ in range(_INIT_POWER_ITERS):
-        y = sp_dot(obs, values, q)
-        left = _orthonormal_columns(y)
-        q = _orthonormal_columns(sp_tdot(obs, values, left))
-    f = thin_svd(sp_dot(obs, values, q))
+    """Leading-k singular triplets of the sparse matrix by subspace iteration.
+
+    Bases are orthonormalized by Householder QR, which also spans a
+    rank-deficient block with k orthonormal columns.
+    """
+    q = np.linalg.qr(rng.standard_normal((obs.n, k)))[0]
+    for _ in range(_INIT_SUBSPACE_ITERS):
+        left = np.linalg.qr(_finite(sp_dot(obs, values, q), "initializer block"))[0]
+        q = np.linalg.qr(_finite(sp_tdot(obs, values, left), "initializer block"))[0]
+    f = thin_svd(_finite(sp_dot(obs, values, q), "initializer block"))
     return f.left, f.singular_values, q @ f.right
 
 
@@ -393,9 +363,7 @@ def initial_factors(obs: SparseObservations, config: SolverConfig) -> FactorPair
     k = min(d, m, n)
     scaled = obs.values * (m * n / obs.nnz)
     left, sigma, right = _truncated_sparse_svd(obs, scaled, k, rng)
-    pow_u, pow_v = (
-        (2.0 / 3.0, 1.0 / 3.0) if config.reg is Regularizer.FN else (0.5, 0.5)
-    )
+    pow_u, pow_v = config.reg.split
     u = np.zeros((m, d))
     v = np.zeros((n, d))
     u[:, :k] = left * sigma**pow_u

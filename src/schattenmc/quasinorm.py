@@ -57,6 +57,12 @@ class Regularizer(Enum):
     def p(self) -> float:
         return 2.0 / 3.0 if self is Regularizer.FN else 0.5
 
+    @property
+    def split(self) -> tuple[float, float]:
+        """Exponents (a, 1 - a) of the optimal factorization
+        U = L diag(s)^a, V = R diag(s)^(1-a)."""
+        return (2.0 / 3.0, 1.0 / 3.0) if self is Regularizer.FN else (0.5, 0.5)
+
 
 @dataclass(frozen=True)
 class FactorPair:
@@ -122,7 +128,7 @@ def optimal_factor_pair(x, reg: Regularizer, d: int) -> FactorPair:
     if d < rank:
         raise ValueError(f"d = {d} is below the numerical rank {rank}")
     m, n = x.shape
-    pow_u, pow_v = (2.0 / 3.0, 1.0 / 3.0) if reg is Regularizer.FN else (0.5, 0.5)
+    pow_u, pow_v = reg.split
     u = np.zeros((m, d))
     v = np.zeros((n, d))
     if rank:

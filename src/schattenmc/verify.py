@@ -90,7 +90,7 @@ def _corpus(rng, trials, shape, max_rank):
 
 def _optimal_pair_from_svd(f, reg: Regularizer, d: int) -> FactorPair:
     s = trim_singular_values(f.singular_values)
-    pow_u, pow_v = (2.0 / 3.0, 1.0 / 3.0) if reg is Regularizer.FN else (0.5, 0.5)
+    pow_u, pow_v = reg.split
     u = f.left[:, :d] * s[:d] ** pow_u
     v = f.right[:, :d] * s[:d] ** pow_v
     return FactorPair(u, v)

@@ -176,6 +176,20 @@ class TestComplete:
         )
         assert rc == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_is_numerical_failure(self, tmp_path, capsys):
+        data = tmp_path / "huge.dat"
+        data.write_text(ML_LINES.replace("\n", "e300\n"))  # every rating x 1e300
+        out = tmp_path / "out"
+        rc = main(
+            ["complete", "--input", str(data), "--train-frac", "0.7", "--d", "2",
+             "--lambda", "1", "--out", str(out)]
+        )
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+        rep = json.loads((out / "report.json").read_text())
+        assert "non-finite" in rep["error"]
+
 
 class TestImage:
     def low_rank_image(self, seed=11, size=24):

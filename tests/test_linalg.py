@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schattenmc import linalg
+from schattenmc import spectral_norm
 from schattenmc.linalg import (
     NumericalError,
     frobenius_norm,
     nuclear_norm,
-    sigma_max,
     singular_values,
     singular_values_stack,
-    spectral_norm,
     thin_svd,
 )
 
@@ -97,6 +95,10 @@ class TestSpectralNorm:
     def test_zero(self):
         assert spectral_norm(np.zeros((4, 4))) == 0.0
 
+    def test_empty(self):
+        assert spectral_norm(np.zeros((0, 3))) == 0.0
+        assert spectral_norm(np.zeros((3, 0))) == 0.0
+
     def test_matches_svd_oracle(self):
         a = philox(11).standard_normal((10, 4))
         top = thin_svd(a).singular_values[0]
@@ -109,7 +111,7 @@ class TestSpectralNorm:
             assert spectral_norm(a) == pytest.approx(spectral_norm(a.T), rel=1e-10)
 
     def test_null_start_recovery(self):
-        # all-ones start lies in the null space; canonical restart must kick in
+        # rank 1, with the all-ones vector in the null space
         a = np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert spectral_norm(a) == pytest.approx(2.0, rel=1e-9)
 
@@ -159,12 +161,6 @@ class TestStackConsistency:
         for i in range(stack.shape[0]):
             assert np.allclose(batch[i], singular_values(stack[i]), rtol=1e-10, atol=1e-12)
 
-    def test_sigma_max_matches_spectral(self):
-        rng = philox(31)
-        for _ in range(10):
-            a = rng.standard_normal((8, 5))
-            assert sigma_max(a) == pytest.approx(spectral_norm(a), rel=1e-9)
-
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -175,17 +171,6 @@ class TestStackConsistency:
 def test_svd_invariants_property(m, n, seed):
     a = philox(seed).standard_normal((m, n))
     svd_invariants(a, thin_svd(a))
-
-
-def test_jacobi_matches_numpy_eigh():
-    rng = philox(37)
-    for k in (1, 2, 3, 7, 15):
-        x = rng.standard_normal((k + 4, k))
-        g = x.T @ x
-        evals, evecs = linalg._jacobi_eigh(g)
-        assert np.allclose(np.sort(evals), np.sort(np.linalg.eigvalsh(g)), rtol=1e-10, atol=1e-12)
-        assert np.abs(evecs.T @ evecs - np.eye(k)).max() < 1e-12
-        assert np.abs(g @ evecs - evecs * evals).max() < 1e-9 * max(1.0, np.abs(g).max())
 
 
 def test_numerical_error_is_runtime_error():

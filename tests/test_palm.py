@@ -308,6 +308,20 @@ class TestSolve:
             solve(inst.observations, cfg)
         assert exc_info.value.objective_trace.size == 4  # init + 3 steps
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    @pytest.mark.parametrize(
+        "scale, trace_len",
+        [(1e300, 1), (1e307, 0)],
+        ids=["step-overflow", "init-overflow"],
+    )
+    def test_overflow_is_numerical_failure(self, reg, scale, trace_len):
+        o = gen_synthetic(30, 30, 3, 0.1, 0.5, 1).observations
+        big = SparseObservations(o.m, o.n, o.row_idx, o.col_idx, o.values * scale)
+        with pytest.raises(SolveFailure, match="non-finite") as exc_info:
+            solve(big, SolverConfig(reg=reg, lam=1.0, d=3))
+        assert exc_info.value.objective_trace.size == trace_len
+
 
 class TestRegTermConsistency:
     def test_penalty_equals_power_sum_at_optimal_pair(self):
@@ -380,22 +394,11 @@ class TestConfigAndInit:
         assert 0.1 < np.std(fp.u) < 2.0
 
     def test_d_can_exceed_dims(self):
+        # rank-1 data with k = min(d, m, n) = 5: the initializer's subspace
+        # blocks are rank-deficient
         inst = gen_synthetic(6, 5, 1, 0.0, 1.0, 95)
         cfg = SolverConfig(reg=Regularizer.BIN, lam=0.1, d=8, seed=1, max_iters=30)
         rep = solve(inst.observations, cfg)
         assert rep.factors.u.shape == (6, 8)
-
-    def test_relative_stop_variant(self):
-        inst = gen_synthetic(30, 25, 2, 0.05, 0.4, 97)
-        cfg_abs = SolverConfig(
-            reg=Regularizer.FN, lam=2.0, d=3, epsilon=1e-4, max_iters=800, seed=4
-        )
-        cfg_rel = SolverConfig(
-            reg=Regularizer.FN, lam=2.0, d=3, epsilon=1e-4, max_iters=800, seed=4,
-            relative_stop=True,
-        )
-        rep_abs = solve(inst.observations, cfg_abs)
-        rep_rel = solve(inst.observations, cfg_rel)
-        assert rep_rel.converged
-        # scaled deltas clear the threshold no later than absolute ones
-        assert rep_rel.iterations <= rep_abs.iterations
+        assert np.isfinite(rep.factors.u).all() and np.isfinite(rep.factors.v).all()
+        assert np.all(np.diff(rep.objective_trace) <= 1e-12)
