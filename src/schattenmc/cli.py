@@ -78,6 +78,23 @@ def _manifest(command: str, args: argparse.Namespace, outputs, wall_s: float) ->
     }
 
 
+def _numerical_failure(args, path: Path, outputs, t_start, error: str, exc, body) -> int:
+    """Write ``body`` with the error, the failed solve's partial objective
+    trace and the wall time so far to ``path``; return exit code 3."""
+    wall_s = time.perf_counter() - t_start
+    _write_json(
+        path,
+        {
+            **body,
+            "manifest": _manifest(args.command, args, outputs, wall_s),
+            "error": error,
+            "objective_trace": getattr(exc, "objective_trace", []),
+        },
+    )
+    print(f"schattenmc {args.command}: numerical failure: {error}", file=sys.stderr)
+    return 3
+
+
 def _solver_config(args, reg: Regularizer, d: int) -> SolverConfig:
     return SolverConfig(
         reg=reg,
@@ -105,7 +122,7 @@ def _cmd_synth(args) -> int:
     d = args.d if args.d is not None else int(math.floor(1.25 * args.rank))
     t_start = time.perf_counter()
     run_seeds = spawn_seeds(args.seed, args.runs)
-    rows, rses, error = [], [], None
+    rows, rses, failure = [], [], None
     with open(csv_path, "w") as fh:
         fh.write("run,seed,iterations,converged,final_objective,rse,wall_ms\n")
         for i, run_seed in enumerate(run_seeds):
@@ -116,7 +133,7 @@ def _cmd_synth(args) -> int:
             try:
                 report = solve(inst.observations, cfg)
             except NumericalError as exc:
-                error = f"run {i}: {exc}"
+                failure = exc
                 break
             wall_ms = (time.perf_counter() - t0) * 1e3
             x = report.factors.product()
@@ -129,20 +146,21 @@ def _cmd_synth(args) -> int:
                 f"{run_rse!r},{wall_ms:.3f}\n"
             )
             fh.flush()
-    wall_s = time.perf_counter() - t_start
+    outputs = [csv_path, summary_path]
     summary = {
-        "manifest": _manifest("synth", args, [csv_path, summary_path], wall_s),
         "d": d,
         "runs_completed": len(rows),
         "rse_mean": float(np.mean(rses)) if rses else None,
         "rse_std": float(np.std(rses)) if rses else None,
     }
-    if error is not None:
-        summary["error"] = error
+    if failure is not None:
+        error = f"run {len(rows)}: {failure}"
+        return _numerical_failure(
+            args, summary_path, outputs, t_start, error, failure, summary
+        )
+    wall_s = time.perf_counter() - t_start
+    summary["manifest"] = _manifest("synth", args, outputs, wall_s)
     _write_json(summary_path, summary)
-    if error is not None:
-        print(f"schattenmc synth: numerical failure: {error}", file=sys.stderr)
-        return 3
     return 0
 
 
@@ -161,16 +179,8 @@ def _cmd_complete(args) -> int:
     try:
         report = solve(train, cfg)
     except NumericalError as exc:
-        _write_json(
-            report_path,
-            {
-                "manifest": _manifest("complete", args, [report_path], 0.0),
-                "error": str(exc),
-                "objective_trace": list(getattr(exc, "objective_trace", [])),
-            },
-        )
-        print(f"schattenmc complete: numerical failure: {exc}", file=sys.stderr)
-        return 3
+        outputs = [report_path]
+        return _numerical_failure(args, report_path, outputs, t_start, str(exc), exc, {})
     terms = bound_terms(train, report.factors, args.lam, args.d)
     wall_s = time.perf_counter() - t_start
     payload = {
@@ -208,8 +218,8 @@ def _cmd_image(args) -> int:
     try:
         report = solve(obs, cfg)
     except NumericalError as exc:
-        print(f"schattenmc image: numerical failure: {exc}", file=sys.stderr)
-        return 3
+        outputs = [degraded_path, report_path]
+        return _numerical_failure(args, report_path, outputs, t_start, str(exc), exc, {})
     recovered = np.clip(np.rint(report.factors.product()), 0, 255).astype(np.uint8)
     from .data import GrayImage
 

@@ -1,13 +1,14 @@
 """Dense linear algebra sized for tall-skinny factor work.
 
 Thin SVDs and singular values go straight to LAPACK through
-``np.linalg.svd`` (``full_matrices=False`` / ``compute_uv=False``), which
-also batches over stacks of small matrices; the spectral norm is the top
-singular value of that route.  A LAPACK convergence failure surfaces as
-``NumericalError``.
+``np.linalg.svd`` (``full_matrices=False`` / ``compute_uv=False``).
+``singular_values`` takes one matrix or a stack of them, shape
+(..., m, n): LAPACK batches the stack, and each matrix gets the same
+values as a call on it alone.  The spectral norm is the top singular value
+of that route.  A LAPACK convergence failure surfaces as ``NumericalError``.
 
 Derived scalar norms and rank decisions trim singular values below
-``SIGMA_TRIM_REL * sigma_1``.
+``SIGMA_TRIM_REL * sigma_1`` of their own matrix.
 """
 
 from __future__ import annotations
@@ -29,14 +30,23 @@ class NumericalError(RuntimeError):
     iterate overflowed."""
 
 
+def as_stack(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite float64 array of shape (..., m, n): one matrix or
+    a stack of them.  NaN/Inf are rejected."""
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim < 2:
+        raise ValueError(f"{name} must be 2-D or a stack, got shape {arr.shape}")
+    if arr.size and not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite float64 2-D array; NaN/Inf are rejected."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    return as_stack(arr, name)
 
 
 @dataclass(frozen=True)
@@ -73,46 +83,35 @@ def thin_svd(a) -> ThinSVD:
 
 
 def trim_singular_values(sigma: np.ndarray) -> np.ndarray:
-    """Zero out entries at or below SIGMA_TRIM_REL * sigma_1."""
+    """Zero out entries at or below SIGMA_TRIM_REL * sigma_1, per row of a
+    (..., k) array of non-increasing spectra."""
     s = np.array(sigma, dtype=np.float64)
-    if s.size and s[0] > 0.0:
-        s[s <= SIGMA_TRIM_REL * s[0]] = 0.0
+    s[s <= SIGMA_TRIM_REL * s[..., :1]] = 0.0
     return s
 
 
 def singular_values(a, trim: bool = True) -> np.ndarray:
-    """Singular values only (non-increasing, by LAPACK), optionally trimmed."""
-    s = _svd(as_matrix(a), compute_uv=False)
+    """Singular values (non-increasing, by LAPACK), optionally trimmed.
+
+    ``a`` is one m x n matrix or a stack (..., m, n); the result has shape
+    (..., min(m, n)).
+    """
+    s = _svd(as_stack(a), compute_uv=False)
     return trim_singular_values(s) if trim else s
-
-
-def singular_values_stack(a_stack: np.ndarray, trim: bool = True) -> np.ndarray:
-    """Singular values of a (batch, m, n) stack, shape (batch, min(m, n))."""
-    a = np.asarray(a_stack, dtype=np.float64)
-    if a.ndim != 3:
-        raise ValueError(f"expected a (batch, m, n) stack, got {a.shape}")
-    s = _svd(a, compute_uv=False)
-    if trim and s.shape[1]:
-        top = s[:, :1]
-        s[s <= SIGMA_TRIM_REL * top] = 0.0
-    return s
-
-
-def nuclear_norms_stack(a_stack: np.ndarray) -> np.ndarray:
-    return np.sum(singular_values_stack(a_stack), axis=1)
 
 
 def sigma_max(a) -> float:
     """Spectral norm: the largest of LAPACK's singular values (exact to
     machine precision even for clustered spectra); 0.0 for an empty matrix."""
-    s = singular_values(a, trim=False)
+    s = _svd(as_matrix(a), compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
 
-
-def nuclear_norm(a) -> float:
-    """Sum of singular values (trimmed, see module docstring)."""
-    return float(np.sum(singular_values(a)))
+def nuclear_norm(a):
+    """Sum of singular values (trimmed, see module docstring): a float for
+    one matrix, an array of shape (...,) for a stack (..., m, n)."""
+    total = np.sum(singular_values(a), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def frobenius_norm(a) -> float:

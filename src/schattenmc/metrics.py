@@ -9,8 +9,9 @@ import numpy as np
 
 from .data import RatingSet
 from .linalg import as_matrix, frobenius_norm
-from .quasinorm import FactorPair
-from .sparse_obs import SparseObservations, grad_u, masked_residual
+from .palm import SolverConfig, optimality_residual
+from .quasinorm import FactorPair, Regularizer
+from .sparse_obs import SparseObservations
 
 __all__ = ["EvalReport", "BoundTerms", "rse", "rmse", "psnr", "bound_terms"]
 
@@ -19,9 +20,9 @@ __all__ = ["EvalReport", "BoundTerms", "rse", "rmse", "psnr", "bound_terms"]
 class BoundTerms:
     """Computable pieces of the critical-point recovery bound.
 
-    beta = max |D_ij| over the observed set; c2 is the gradient-to-residual
-    norm ratio with provable lower bound c2_lower = (2 lam / 3) / sqrt(gamma),
-    gamma = ||P_omega(D)||_F^2; sample_term = (m d log(m) / |omega|)^(1/4).
+    beta = max |D_ij| over the observed set; c2, its lower bound c2_lower and
+    the degenerate flag are those of ``palm.optimality_residual`` for the FN
+    penalty; sample_term = (m d log(m) / |omega|)^(1/4).
     """
 
     beta: float
@@ -75,18 +76,10 @@ def psnr(x, z, max_value: float = 255.0) -> float:
 def bound_terms(
     obs: SparseObservations, fp: FactorPair, lam: float, d: int
 ) -> BoundTerms:
+    opt = optimality_residual(fp, obs, SolverConfig(Regularizer.FN, lam, d))
     beta = float(np.max(np.abs(obs.values))) if obs.nnz else 0.0
-    r = masked_residual(fp.u, fp.v, obs)
-    q = grad_u(r, fp.v)
-    rnorm = math.sqrt(r.sq_norm())
-    if rnorm == 0.0:
-        c2, degenerate = math.inf, True
-    else:
-        c2, degenerate = math.sqrt(float(np.sum(q * q))) / rnorm, False
-    gamma = float(obs.values @ obs.values)
-    c2_lower = (2.0 * lam / 3.0) / math.sqrt(gamma) if gamma > 0.0 else math.inf
     if obs.nnz:
         sample_term = (obs.m * d * math.log(obs.m) / obs.nnz) ** 0.25
     else:
         sample_term = math.inf
-    return BoundTerms(beta, c2, c2_lower, sample_term, degenerate)
+    return BoundTerms(beta, opt.c2, opt.c2_lower, sample_term, opt.degenerate)

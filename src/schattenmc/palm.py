@@ -2,10 +2,11 @@
 
 Minimizes, over U (m x d) and V (n x d),
 
-    FN:  lam * (2||U||_* + ||V||_F^2) / 3 + 0.5 ||P_omega(U V^T - D)||_F^2
-    BIN: lam * (||U||_*  + ||V||_*)  / 2 + 0.5 ||P_omega(U V^T - D)||_F^2
+    lam * penalty(U, V) + 0.5 ||P_omega(U V^T - D)||_F^2
 
-by alternating linearized proximal steps.  Each half-step linearizes the
+by alternating linearized proximal steps.  The penalty, a weighted mean of
+||U||_* and ||V||_F^2 (FN) or of ||U||_* and ||V||_* (BIN), is
+``quasinorm.Regularizer.penalty``.  Each half-step linearizes the
 smooth loss at the current block, with step size 1 / l where l is the exact
 Lipschitz constant of that block's gradient (the squared spectral norm of
 the opposite factor), then applies the closed-form proximal map: singular
@@ -98,10 +99,6 @@ class SolverConfig:
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
-    def shrink_coeff(self) -> float:
-        """Scale of the nuclear penalty on U: 2*lam/3 for FN, lam/2 for BIN."""
-        return 2.0 * self.lam / 3.0 if self.reg is Regularizer.FN else self.lam / 2.0
-
 
 @dataclass(frozen=True)
 class OptimalityReport:
@@ -184,20 +181,11 @@ def lipschitz_h(u) -> float:
     return sigma_max(u) ** 2
 
 
-def _penalty(lam: float, fn: bool, nuc_u: float, v_term: float) -> float:
-    """lam times the factored penalty, from ||U||_* and the V term
-    (||V||_F^2 for FN, ||V||_* for BIN)."""
-    if fn:
-        return lam * (2.0 * nuc_u + v_term) / 3.0
-    return lam * (nuc_u + v_term) / 2.0
-
-
 def _reg_term(u, v, config: SolverConfig) -> float:
     if config.lam == 0.0:
         return 0.0
-    fn = config.reg is Regularizer.FN
-    v_term = frobenius_norm(v) ** 2 if fn else nuclear_norm(v)
-    return _penalty(config.lam, fn, nuclear_norm(u), v_term)
+    v_term = frobenius_norm(v) ** 2 if config.reg is Regularizer.FN else nuclear_norm(v)
+    return config.reg.penalty(config.lam, nuclear_norm(u), v_term)
 
 
 def _finite(block: np.ndarray, name: str) -> np.ndarray:
@@ -223,15 +211,14 @@ def _step_core(u, v, sig_v: float, r: SparseResidual, obs, config: SolverConfig)
     constants and the penalty cost no extra SVDs.
     """
     lam = config.lam
-    fn = config.reg is Regularizer.FN
-    coeff = config.shrink_coeff()
+    coeff = config.reg.shrink_coeff(lam)
 
     l_g = max(sig_v**2, LIPSCHITZ_FLOOR)
     u1, su = _svt(_finite(u - grad_u(r, v) / l_g, "U step"), coeff / l_g)
     l_h = max(float(su[0]) ** 2, LIPSCHITZ_FLOOR)
     r_mid = masked_residual(u1, v, obs)
     b_v = _finite(v - grad_v(r_mid, u1) / l_h, "V step")
-    if fn:
+    if config.reg is Regularizer.FN:
         v1 = frob_prox(b_v, l_h, lam)
         sig_v1 = sigma_max(v1)
         v_term = frobenius_norm(v1) ** 2
@@ -239,7 +226,7 @@ def _step_core(u, v, sig_v: float, r: SparseResidual, obs, config: SolverConfig)
         v1, sv = _svt(b_v, coeff / l_h)
         sig_v1 = float(sv[0])
         v_term = float(np.sum(sv))
-    reg_val = _penalty(lam, fn, float(np.sum(su)), v_term)
+    reg_val = config.reg.penalty(lam, float(np.sum(su)), v_term)
 
     r_next = masked_residual(u1, v1, obs)
     return u1, v1, sig_v1, l_g, l_h, r_next, reg_val
@@ -309,7 +296,7 @@ def optimality_residual(
     """First-order diagnostics at (U, V); see OptimalityReport."""
     r = masked_residual(fp.u, fp.v, obs)
     q = -grad_u(r, fp.v)  # P_omega(D - U V^T) V
-    coeff = config.shrink_coeff()
+    coeff = config.reg.shrink_coeff(config.lam)
     q_spectral = sigma_max(q)
     gap = abs(float(np.sum(q * fp.u)) - coeff * nuclear_norm(fp.u))
     rnorm = math.sqrt(r.sq_norm())
@@ -344,10 +331,10 @@ def initial_factors(obs: SparseObservations, config: SolverConfig) -> FactorPair
     SPECTRAL_SCALED splits the rank-d truncated SVD of the inverse-sampling
     scaled observed matrix (m*n/|omega|) * P_omega(D), approximated by
     seeded subspace iteration.  The split matches the penalty's optimal
-    factorization (FN: s^(2/3) / s^(1/3), BIN: symmetric square roots); a
-    mismatched split leaves a factor-rebalancing transient that the
-    alternation crosses only at O(lam) speed.  GAUSSIAN_SCALED draws i.i.d.
-    normal entries with variance 1/sqrt(d) so (U V^T)_ij has unit variance.
+    factorization (``Regularizer.split``); a mismatched split leaves a
+    factor-rebalancing transient that the alternation crosses only at
+    O(lam) speed.  GAUSSIAN_SCALED draws i.i.d. normal entries with
+    variance 1/sqrt(d) so (U V^T)_ij has unit variance.
     """
     m, n, d = obs.m, obs.n, config.d
     seed = spawn_seeds(config.seed, 1)[0]

@@ -1,4 +1,4 @@
-"""Schatten quasi-norms and the factored surrogates that attain them.
+"""Schatten quasi-norms and the factored penalties that attain them.
 
 For 0 < p < 1 the Schatten-p quasi-norm (sum sigma_i^p)^(1/p) is a
 non-convex surrogate of the rank.  Two cases admit exact factored forms
@@ -10,6 +10,11 @@ over all factorizations X = U V^T with enough columns:
 and the minimum is attained at U = L diag(s)^a, V = R diag(s)^(1-a) built
 from the SVD of X (a = 2/3 and 1/2 respectively).  That attainment is what
 lets a solver regularize the small factors instead of the full matrix.
+
+``Regularizer`` is the one place that holds these weights, split exponents
+and p; the solver, the metrics and the verification suite read them from it.
+Functions that take a spectrum or an SVD let a caller that already has one
+reuse it.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from enum import Enum
 import numpy as np
 
 from .linalg import (
+    ThinSVD,
     as_matrix,
-    frobenius_norm,
+    as_stack,
     nuclear_norm,
-    nuclear_norms_stack,
     singular_values,
     thin_svd,
     trim_singular_values,
@@ -33,11 +38,12 @@ __all__ = [
     "Regularizer",
     "FactorPair",
     "schatten_quasi_norm",
+    "spectrum_quasi_norm",
     "fn_quasi_norm",
     "bin_quasi_norm",
     "optimal_factor_pair",
+    "factor_pair_from_svd",
     "factor_surrogate_value",
-    "surrogate_values_batch",
     "trace_power",
 ]
 
@@ -62,6 +68,19 @@ class Regularizer(Enum):
         """Exponents (a, 1 - a) of the optimal factorization
         U = L diag(s)^a, V = R diag(s)^(1-a)."""
         return (2.0 / 3.0, 1.0 / 3.0) if self is Regularizer.FN else (0.5, 0.5)
+
+    def shrink_coeff(self, lam: float) -> float:
+        """Weight of ||U||_* in lam times the penalty: 2 lam / 3 for FN,
+        lam / 2 for BIN."""
+        return 2.0 * lam / 3.0 if self is Regularizer.FN else lam / 2.0
+
+    def penalty(self, lam, nuc_u, v_term):
+        """lam times the factored penalty, from ||U||_* and the V term
+        (||V||_F^2 for FN, ||V||_* for BIN): lam (2 nuc_u + v_term) / 3 or
+        lam (nuc_u + v_term) / 2.  Elementwise over arrays."""
+        if self is Regularizer.FN:
+            return lam * (2.0 * nuc_u + v_term) / 3.0
+        return lam * (nuc_u + v_term) / 2.0
 
 
 @dataclass(frozen=True)
@@ -95,9 +114,13 @@ def schatten_quasi_norm(x, p: float) -> float:
     Coincides with the nuclear norm at p = 1 and the Frobenius norm at
     p = 2.  Requires p > 0.
     """
+    return spectrum_quasi_norm(singular_values(as_matrix(x)), p)
+
+
+def spectrum_quasi_norm(s, p: float) -> float:
+    """(sum s_i^p)^(1/p) over the positive entries of a spectrum ``s``."""
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
-    s = singular_values(as_matrix(x))
     s = s[s > 0.0]
     if s.size == 0:
         return 0.0
@@ -106,12 +129,12 @@ def schatten_quasi_norm(x, p: float) -> float:
 
 def fn_quasi_norm(x) -> float:
     """Schatten-2/3 quasi-norm: the minimum of ||U||_* ||V||_F over X = U V^T."""
-    return schatten_quasi_norm(x, 2.0 / 3.0)
+    return schatten_quasi_norm(x, Regularizer.FN.p)
 
 
 def bin_quasi_norm(x) -> float:
     """Schatten-1/2 quasi-norm: the minimum of ||U||_* ||V||_* over X = U V^T."""
-    return schatten_quasi_norm(x, 0.5)
+    return schatten_quasi_norm(x, Regularizer.BIN.p)
 
 
 def optimal_factor_pair(x, reg: Regularizer, d: int) -> FactorPair:
@@ -121,48 +144,43 @@ def optimal_factor_pair(x, reg: Regularizer, d: int) -> FactorPair:
     square-root split.  Requires d >= numerical rank of x; extra columns
     are zero-padded.
     """
-    x = as_matrix(x)
-    f = thin_svd(x)
+    return factor_pair_from_svd(thin_svd(x), reg, d)
+
+
+def factor_pair_from_svd(f: ThinSVD, reg: Regularizer, d: int) -> FactorPair:
+    """``optimal_factor_pair`` of the matrix whose thin SVD is ``f``."""
     s = trim_singular_values(f.singular_values)
     rank = int(np.count_nonzero(s))
     if d < rank:
         raise ValueError(f"d = {d} is below the numerical rank {rank}")
-    m, n = x.shape
     pow_u, pow_v = reg.split
-    u = np.zeros((m, d))
-    v = np.zeros((n, d))
+    u = np.zeros((f.left.shape[0], d))
+    v = np.zeros((f.right.shape[0], d))
     if rank:
         u[:, :rank] = f.left[:, :rank] * s[:rank] ** pow_u
         v[:, :rank] = f.right[:, :rank] * s[:rank] ** pow_v
     return FactorPair(u, v)
 
 
-def factor_surrogate_value(u, v, reg: Regularizer) -> float:
-    """Value of the factored penalty at (u, v).
+def factor_surrogate_value(u, v, reg: Regularizer):
+    """Value of the factored penalty at (u, v): ``reg.penalty`` at lam = 1,
+    raised to 1/p.
 
     FN: ((2||u||_* + ||v||_F^2) / 3)^(3/2); BIN: ((||u||_* + ||v||_*) / 2)^2.
-    Never smaller than the matching quasi-norm of u @ v.T.
+    Never smaller than the matching quasi-norm of u @ v.T.  A float for one
+    pair (m x d, n x d); for stacks (..., m, d) and (..., n, d), an array
+    with one value per pair.
     """
-    u = as_matrix(u, "u")
-    v = as_matrix(v, "v")
-    if u.shape[1] != v.shape[1]:
-        raise ValueError(f"inner dimensions differ: {u.shape[1]} vs {v.shape[1]}")
+    u = as_stack(u, "u")
+    v = as_stack(v, "v")
+    if u.shape[:-2] != v.shape[:-2] or u.shape[-1] != v.shape[-1]:
+        raise ValueError(f"factor shapes disagree: {u.shape} vs {v.shape}")
     if reg is Regularizer.FN:
-        return float(((2.0 * nuclear_norm(u) + frobenius_norm(v) ** 2) / 3.0) ** 1.5)
-    return float(((nuclear_norm(u) + nuclear_norm(v)) / 2.0) ** 2)
-
-
-def surrogate_values_batch(us: np.ndarray, vs: np.ndarray, reg: Regularizer) -> np.ndarray:
-    """Vectorized factor_surrogate_value over (batch, m, d) factor stacks."""
-    us = np.asarray(us, dtype=np.float64)
-    vs = np.asarray(vs, dtype=np.float64)
-    if us.shape[0] != vs.shape[0] or us.shape[2] != vs.shape[2]:
-        raise ValueError("factor stacks disagree on batch size or inner dimension")
-    nuc_u = nuclear_norms_stack(us)
-    if reg is Regularizer.FN:
-        fro_sq_v = np.einsum("bij,bij->b", vs, vs)
-        return ((2.0 * nuc_u + fro_sq_v) / 3.0) ** 1.5
-    return ((nuc_u + nuclear_norms_stack(vs)) / 2.0) ** 2
+        v_term = np.einsum("...ij,...ij->...", v, v)
+    else:
+        v_term = nuclear_norm(v)
+    value = reg.penalty(1.0, nuclear_norm(u), v_term) ** (1.0 / reg.p)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def trace_power(b, p: float) -> float:

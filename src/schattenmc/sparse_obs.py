@@ -19,10 +19,6 @@ from .rng import philox_rng
 # Multiply-add counter for the residual kernel (testing instrumentation).
 _madd_count = 0
 
-# sample_mask switches from the partial Fisher-Yates shuffle to rejection
-# sampling above this many requested positions.
-_SHUFFLE_LIMIT = 10_000_000
-
 
 def kernel_madd_count() -> int:
     return _madd_count
@@ -166,24 +162,6 @@ def _partial_fisher_yates(total: int, k: int, rng) -> np.ndarray:
     return out
 
 
-def _rejection_sample(total: int, k: int, rng) -> np.ndarray:
-    # first k distinct values of a uniform i.i.d. stream form a uniform subset
-    seen: set[int] = set()
-    out = np.empty(k, dtype=np.int64)
-    filled = 0
-    while filled < k:
-        chunk = rng.integers(0, total, size=max(k - filled, 1024))
-        for j in chunk:
-            j = int(j)
-            if j not in seen:
-                seen.add(j)
-                out[filled] = j
-                filled += 1
-                if filled == k:
-                    break
-    return out
-
-
 def sample_mask(m: int, n: int, sr: float, seed: int):
     """floor(sr * m * n) distinct positions, uniform without replacement.
 
@@ -198,9 +176,7 @@ def sample_mask(m: int, n: int, sr: float, seed: int):
     rng = philox_rng(seed)
     if sr == 1.0:
         lin = np.arange(total, dtype=np.int64)
-    elif k <= _SHUFFLE_LIMIT:
-        lin = _partial_fisher_yates(total, k, rng)
     else:
-        lin = _rejection_sample(total, k, rng)
+        lin = _partial_fisher_yates(total, k, rng)
     lin = np.sort(lin)
     return lin // n, lin % n

@@ -4,6 +4,10 @@ Each property draws a seeded corpus of random low-rank matrices and records
 its worst normalized violation; a property passes when that maximum stays
 within tolerance.  ``tolerance_scale`` exists as a testing hook to force
 failures (scale 0 makes any nonzero violation fail).
+
+Norms, optimal factor pairs and penalty values all come from ``quasinorm``;
+where a property already holds a matrix's SVD it passes that on rather than
+decomposing the matrix again.
 """
 
 from __future__ import annotations
@@ -15,15 +19,15 @@ import numpy as np
 
 from .linalg import frobenius_norm, singular_values, thin_svd, trim_singular_values
 from .quasinorm import (
-    FactorPair,
     Regularizer,
+    factor_pair_from_svd,
     factor_surrogate_value,
-    surrogate_values_batch,
+    spectrum_quasi_norm,
     trace_power,
 )
 from .rng import philox_rng, spawn_seeds
 
-__all__ = ["PropertyResult", "run_property_suite", "random_low_rank"]
+__all__ = ["PropertyResult", "run_property_suite"]
 
 _TOLERANCES = {
     "fn_attainment": 1e-8,
@@ -45,12 +49,6 @@ class PropertyResult:
     tolerance: float
     max_violation: float
     passed: bool
-
-
-def random_low_rank(rng, m: int, n: int, rank: int) -> np.ndarray:
-    a = rng.standard_normal((m, rank))
-    b = rng.standard_normal((n, rank))
-    return a @ b.T
 
 
 def _random_orthogonal_stack(rng, batch: int, k: int) -> np.ndarray:
@@ -85,23 +83,16 @@ def _corpus(rng, trials, shape, max_rank):
     m, n = shape
     for _ in range(trials):
         rank = int(rng.integers(1, max_rank + 1))
-        yield rank, random_low_rank(rng, m, n, rank)
+        a = rng.standard_normal((m, rank))
+        b = rng.standard_normal((n, rank))
+        yield rank, a @ b.T
 
 
-def _optimal_pair_from_svd(f, reg: Regularizer, d: int) -> FactorPair:
-    s = trim_singular_values(f.singular_values)
-    pow_u, pow_v = reg.split
-    u = f.left[:, :d] * s[:d] ** pow_u
-    v = f.right[:, :d] * s[:d] ** pow_v
-    return FactorPair(u, v)
-
-
-def _quasi_norms_from_sigma(s: np.ndarray):
-    s = s[s > 0.0]
-    nuc = float(np.sum(s))
-    fn = float(np.sum(s ** (2.0 / 3.0)) ** 1.5)
-    bn = float(np.sum(np.sqrt(s)) ** 2)
-    return nuc, fn, bn
+def _norms(s: np.ndarray):
+    """Nuclear, FN and BIN (quasi-)norms from one spectrum."""
+    return tuple(
+        spectrum_quasi_norm(s, p) for p in (1.0, Regularizer.FN.p, Regularizer.BIN.p)
+    )
 
 
 def run_property_suite(
@@ -127,13 +118,12 @@ def run_property_suite(
     rng = philox_rng(seeds[0])
     for rank, x in _corpus(rng, trials, shape, max_rank):
         f = thin_svd(x)
-        _, fn, bn = _quasi_norms_from_sigma(trim_singular_values(f.singular_values))
-        ref = {Regularizer.FN: fn, Regularizer.BIN: bn}
+        s = trim_singular_values(f.singular_values)
         for reg in Regularizer:
-            pair = _optimal_pair_from_svd(f, reg, rank)
+            ref = spectrum_quasi_norm(s, reg.p)
+            pair = factor_pair_from_svd(f, reg, rank)
             got = factor_surrogate_value(pair.u, pair.v, reg)
-            rel = abs(got - ref[reg]) / ref[reg]
-            worst[reg] = max(worst[reg], rel)
+            worst[reg] = max(worst[reg], abs(got - ref) / ref)
     record("fn_attainment", worst[Regularizer.FN], trials)
     record("bin_attainment", worst[Regularizer.BIN], trials)
 
@@ -142,16 +132,16 @@ def run_property_suite(
     rng = philox_rng(seeds[1])
     for rank, x in _corpus(rng, trials, shape, max_rank):
         f = thin_svd(x)
-        _, fn, bn = _quasi_norms_from_sigma(trim_singular_values(f.singular_values))
-        ref = {Regularizer.FN: fn, Regularizer.BIN: bn}
+        s = trim_singular_values(f.singular_values)
         g, g_inv_t = _mixing_stack(rng, factorizations_per_matrix, rank)
         for reg in Regularizer:
-            pair = _optimal_pair_from_svd(f, reg, rank)
+            ref = spectrum_quasi_norm(s, reg.p)
+            pair = factor_pair_from_svd(f, reg, rank)
             us = np.matmul(pair.u[None], g)
             vs = np.matmul(pair.v[None], g_inv_t)
-            vals = surrogate_values_batch(us, vs, reg)
+            vals = factor_surrogate_value(us, vs, reg)
             # positive when a factorization dips below the quasi-norm
-            violation = float(np.max((ref[reg] - vals) / ref[reg]))
+            violation = float(np.max((ref - vals) / ref))
             worst[reg] = max(worst[reg], violation)
     record("fn_factorization_lower_bound", worst[Regularizer.FN], trials)
     record("bin_factorization_lower_bound", worst[Regularizer.BIN], trials)
@@ -161,7 +151,7 @@ def run_property_suite(
     worst_chain = -math.inf
     rng = philox_rng(seeds[2])
     for rank, x in _corpus(rng, trials, shape, max_rank):
-        nuc, fn, bn = _quasi_norms_from_sigma(singular_values(x))
+        nuc, fn, bn = _norms(singular_values(x))
         worst_fn = max(
             worst_fn,
             (nuc - fn) / nuc,
@@ -185,7 +175,7 @@ def run_property_suite(
         sig = np.diag(diag)
         a = _random_orthogonal_stack(rng, 1, k)[0]
         rotated = a @ sig @ a.T
-        for p in (0.5, 2.0 / 3.0):
+        for p in (Regularizer.BIN.p, Regularizer.FN.p):
             base = trace_power(sig, p)
             violation = (base - trace_power(rotated, p)) / base
             worst = max(worst, violation)
@@ -209,9 +199,9 @@ def run_property_suite(
     worst = 0.0
     rng = philox_rng(seeds[5])
     for rank, x in _corpus(rng, trials, shape, max_rank):
-        _, fn, bn = _quasi_norms_from_sigma(singular_values(x))
+        _, fn, bn = _norms(singular_values(x))
         for a in (-2.0, 0.5):
-            _, fn_a, bn_a = _quasi_norms_from_sigma(singular_values(a * x))
+            _, fn_a, bn_a = _norms(singular_values(a * x))
             worst = max(
                 worst,
                 abs(fn_a - abs(a) * fn) / (abs(a) * fn),

@@ -30,7 +30,6 @@ from schattenmc.quasinorm import (
     factor_surrogate_value,
     fn_quasi_norm,
     optimal_factor_pair,
-    surrogate_values_batch,
 )
 from schattenmc.rng import philox_rng, spawn_seeds
 from schattenmc.sparse_obs import (
@@ -84,7 +83,7 @@ def test_criterion_1_quasi_norm_equivalence():
             g, g_inv_t = _mixing_stack(gen_rng, 100, r)
             us = np.matmul(pair.u[None], g)
             vs = np.matmul(pair.v[None], g_inv_t)
-            vals = surrogate_values_batch(us, vs, reg)
+            vals = factor_surrogate_value(us, vs, reg)
             worst_dip = max(worst_dip, float(np.max((ref - vals) / ref)))
     elapsed = time.perf_counter() - t0
     assert worst_attain <= 1e-8

@@ -7,6 +7,7 @@ import pytest
 
 from schattenmc.cli import main
 from schattenmc.data import GrayImage, write_pgm
+from schattenmc.palm import SolveFailure
 
 from conftest import philox
 
@@ -24,6 +25,10 @@ ML_LINES = "\n".join(
 def read_csv_rows(path):
     lines = path.read_text().strip().splitlines()
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+def fail_solve(obs, cfg):
+    raise SolveFailure("boom", [2.0, 1.0])
 
 
 def strip_timing_csv(text):
@@ -123,6 +128,18 @@ class TestSynth:
         assert "error" in summary
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_solve_failure_keeps_partial_trace(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("schattenmc.cli.solve", fail_solve)
+        out = tmp_path / "fail"
+        rc = main(["synth", "--m", "12", "--n", "12", "--rank", "2", "--out", str(out)])
+        assert rc == 3
+        assert "boom" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == "run 0: boom"
+        assert summary["objective_trace"] == [2.0, 1.0]
+        assert summary["runs_completed"] == 0
+        assert summary["manifest"]["wall_time_s"] > 0.0
+
 
 class TestComplete:
     def test_fixture_run(self, tmp_path):
@@ -189,6 +206,7 @@ class TestComplete:
         assert "numerical failure" in capsys.readouterr().err
         rep = json.loads((out / "report.json").read_text())
         assert "non-finite" in rep["error"]
+        assert rep["manifest"]["wall_time_s"] > 0.0
 
 
 class TestImage:
@@ -241,6 +259,19 @@ class TestImage:
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "recovered.pgm").read_bytes() == (out2 / "recovered.pgm").read_bytes()
         assert (out1 / "degraded.pgm").read_bytes() == (out2 / "degraded.pgm").read_bytes()
+
+    def test_solve_failure_writes_report(self, tmp_path, monkeypatch, capsys):
+        path = self.write_image(tmp_path, self.low_rank_image(seed=17))
+        monkeypatch.setattr("schattenmc.cli.solve", fail_solve)
+        out = tmp_path / "out"
+        rc = main(["image", "--input", str(path), "--d", "3", "--out", str(out)])
+        assert rc == 3
+        assert "numerical failure: boom" in capsys.readouterr().err
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["error"] == "boom"
+        assert rep["objective_trace"] == [2.0, 1.0]
+        assert rep["manifest"]["wall_time_s"] > 0.0
+        assert (out / "degraded.pgm").exists()
 
     def test_corrupt_frac_validation(self, tmp_path):
         img = self.low_rank_image(seed=15)

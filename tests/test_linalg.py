@@ -9,7 +9,6 @@ from schattenmc.linalg import (
     frobenius_norm,
     nuclear_norm,
     singular_values,
-    singular_values_stack,
     thin_svd,
 )
 
@@ -157,9 +156,18 @@ class TestStackConsistency:
     def test_matches_scalar(self):
         rng = philox(29)
         stack = rng.standard_normal((40, 9, 5))
-        batch = singular_values_stack(stack)
+        batch = singular_values(stack)
+        nuclear = nuclear_norm(stack)
+        assert batch.shape == (40, 5) and nuclear.shape == (40,)
         for i in range(stack.shape[0]):
-            assert np.allclose(batch[i], singular_values(stack[i]), rtol=1e-10, atol=1e-12)
+            assert np.array_equal(batch[i], singular_values(stack[i]))
+            assert nuclear[i] == nuclear_norm(stack[i])
+
+    def test_rejects_non_finite_stack(self):
+        stack = np.ones((3, 4, 2))
+        stack[1, 2, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            singular_values(stack)
 
 
 @settings(max_examples=30, deadline=None)
@@ -182,7 +190,7 @@ def test_numerical_error_is_runtime_error():
     [
         thin_svd,
         singular_values,
-        lambda a: singular_values_stack(a[None]),
+        lambda a: singular_values(a[None]),
     ],
     ids=["thin_svd", "singular_values", "singular_values_stack"],
 )

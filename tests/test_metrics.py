@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from schattenmc.data import parse_movielens
+from schattenmc.data import gen_synthetic, parse_movielens
 from schattenmc.metrics import bound_terms, psnr, rmse, rse
-from schattenmc.quasinorm import FactorPair
+from schattenmc.palm import SolverConfig, solve
+from schattenmc.quasinorm import FactorPair, Regularizer
 from schattenmc.sparse_obs import SparseObservations
 
 from conftest import philox
@@ -133,3 +134,11 @@ class TestBoundTerms:
         fp = FactorPair(np.ones((2, 1)), np.ones((2, 1)))
         bt = bound_terms(obs, fp, 6.0, 1)
         assert bt.c2_lower == pytest.approx((2 * 6.0 / 3) / 5.0, rel=1e-12)
+
+    def test_matches_fn_solve_optimality(self):
+        inst = gen_synthetic(30, 25, 2, 0.1, 0.5, 17)
+        cfg = SolverConfig(Regularizer.FN, 5.0, 3, max_iters=50)
+        report = solve(inst.observations, cfg)
+        bt = bound_terms(inst.observations, report.factors, cfg.lam, cfg.d)
+        opt = report.optimality
+        assert (bt.c2, bt.c2_lower, bt.degenerate) == (opt.c2, opt.c2_lower, opt.degenerate)

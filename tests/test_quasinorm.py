@@ -14,7 +14,6 @@ from schattenmc.quasinorm import (
     fn_quasi_norm,
     optimal_factor_pair,
     schatten_quasi_norm,
-    surrogate_values_batch,
     trace_power,
 )
 from schattenmc.verify import _mixing_stack
@@ -135,7 +134,7 @@ class TestFactorSurrogate:
         us = rng.standard_normal((6, 10, 3))
         vs = rng.standard_normal((6, 7, 3))
         for reg in Regularizer:
-            batch = surrogate_values_batch(us, vs, reg)
+            batch = factor_surrogate_value(us, vs, reg)
             for i in range(6):
                 assert batch[i] == pytest.approx(
                     factor_surrogate_value(us[i], vs[i], reg), rel=1e-10

@@ -182,13 +182,3 @@ class TestSampleMask:
     def test_floor_of_inexact_product(self):
         rows, _ = sample_mask(10, 10, 0.29, 5)
         assert rows.size == 29
-
-    def test_rejection_path_matches_contract(self, monkeypatch):
-        import schattenmc.sparse_obs as so
-
-        monkeypatch.setattr(so, "_SHUFFLE_LIMIT", 10)
-        rows, cols = so.sample_mask(20, 20, 0.3, 9)
-        assert rows.size == 120
-        assert len(set(zip(rows.tolist(), cols.tolist()))) == 120
-        rows2, cols2 = so.sample_mask(20, 20, 0.3, 9)
-        assert np.array_equal(rows, rows2) and np.array_equal(cols, cols2)
