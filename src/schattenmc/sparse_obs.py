@@ -1,14 +1,26 @@
 """Observed-entry set and the three sparse kernels the solvers need.
 
-Everything runs in O(|omega| * d): the masked residual P_omega(U V^T - D),
-and the two gradient products R @ V and R^T @ U realized as a gather plus
-a per-column scatter-accumulate.  The coordinate layout is parallel
-(row, col, value) arrays sorted lexicographically by (row, col).
+The coordinate layout is parallel (row, col, value) arrays sorted
+lexicographically by (row, col).  The kernels are the masked residual
+P_omega(U V^T - D) and the products S @ X and S^T @ X of the matrix S that
+holds given values on the observed pattern (the gradients R V and R^T U).
+Each picks one of two paths from the observation density alone:
+
+* dense, when m * n <= 3 |omega|: the values are scattered into an m x n
+  array and the products are BLAS matrix products (the residual reads the
+  observed entries of U V^T).  The array takes 8 m n bytes, no more than
+  the 24 bytes per entry the coordinate arrays hold, and m n d stays
+  within 3 |omega| d multiply-adds;
+* sparse, otherwise: for each of the d columns of X, one gather of a
+  contiguous column and one ``np.bincount`` scatter-accumulate.
+
+Either way the work is O(|omega| d).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +52,11 @@ class SparseObservations:
     values: np.ndarray
 
     def __post_init__(self):
+        for name in ("m", "n"):
+            dim = getattr(self, name)
+            if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+                raise ValueError(f"{name} must be a positive integer, got {dim!r}")
+            object.__setattr__(self, name, int(dim))
         rows = np.asarray(self.row_idx, dtype=np.int64)
         cols = np.asarray(self.col_idx, dtype=np.int64)
         vals = np.asarray(self.values, dtype=np.float64)
@@ -79,9 +96,7 @@ class SparseObservations:
 
     def dense(self) -> np.ndarray:
         """Materialize P_omega(D) (zeros off the observed set)."""
-        out = np.zeros((self.m, self.n))
-        out[self.row_idx, self.col_idx] = self.values
-        return out
+        return _scatter(self, self.values)
 
 
 @dataclass(frozen=True)
@@ -110,33 +125,53 @@ def _check_factor(x, rows, d_expected, name):
     return x
 
 
+def _scatter(obs: SparseObservations, values) -> np.ndarray:
+    """The m x n array holding `values` on the obs pattern, zeros elsewhere."""
+    out = np.zeros((obs.m, obs.n))
+    out[obs.row_idx, obs.col_idx] = values
+    return out
+
+
+def _dense_path(obs: SparseObservations) -> bool:
+    """Density rule of the kernels (see the module docstring)."""
+    return obs.m * obs.n <= 3 * obs.nnz
+
+
 def masked_residual(u, v, obs: SparseObservations) -> SparseResidual:
     """P_omega(U V^T) - P_omega(D), materialized on the observed set only."""
     global _madd_count
     u = _check_factor(u, obs.m, None, "u")
     v = _check_factor(v, obs.n, u.shape[1], "v")
-    pred = np.einsum("ij,ij->i", u[obs.row_idx], v[obs.col_idx])
+    if _dense_path(obs):
+        pred = (u @ v.T)[obs.row_idx, obs.col_idx]
+    else:
+        pred = np.einsum("ij,ij->i", u[obs.row_idx], v[obs.col_idx])
     _madd_count += obs.nnz * u.shape[1]
     return SparseResidual(obs, pred - obs.values)
 
 
-def _scatter_rows(idx, weights, rows, d):
-    out = np.empty((rows, d))
-    for k in range(d):
-        out[:, k] = np.bincount(idx, weights=weights[:, k], minlength=rows)
+def _scatter_columns(idx, other_idx, values, x, rows):
+    # entry e adds values[e] * x[other_idx[e], k] to out[idx[e], k]; one
+    # contiguous column of x per bincount keeps each gather unit-stride
+    xt = np.ascontiguousarray(x.T)
+    out = np.empty((rows, x.shape[1]))
+    for k in range(x.shape[1]):
+        out[:, k] = np.bincount(idx, weights=xt[k][other_idx] * values, minlength=rows)
     return out
 
 
 def sp_dot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S @ x for the sparse matrix S with `values` on the obs pattern; x is n x d."""
-    w = values[:, None] * x[obs.col_idx]
-    return _scatter_rows(obs.row_idx, w, obs.m, x.shape[1])
+    if _dense_path(obs):
+        return _scatter(obs, values) @ x
+    return _scatter_columns(obs.row_idx, obs.col_idx, values, x, obs.m)
 
 
 def sp_tdot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S^T @ x; x is m x d, result n x d."""
-    w = values[:, None] * x[obs.row_idx]
-    return _scatter_rows(obs.col_idx, w, obs.n, x.shape[1])
+    if _dense_path(obs):
+        return _scatter(obs, values).T @ x
+    return _scatter_columns(obs.col_idx, obs.row_idx, values, x, obs.n)
 
 
 def grad_u(r: SparseResidual, v) -> np.ndarray:
@@ -153,10 +188,11 @@ def grad_v(r: SparseResidual, u) -> np.ndarray:
 
 def _partial_fisher_yates(total: int, k: int, rng) -> np.ndarray:
     # sparse Fisher-Yates: only displaced slots are stored
+    # one vectorized draw gives the same stream as k scalar integers(i, total)
+    draws = rng.integers(np.arange(k), total).tolist()
     swapped: dict[int, int] = {}
     out = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        j = int(rng.integers(i, total))
+    for i, j in enumerate(draws):
         out[i] = swapped.get(j, j)
         swapped[j] = swapped.get(i, i)
     return out

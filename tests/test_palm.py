@@ -309,6 +309,7 @@ class TestSolve:
         assert exc_info.value.objective_trace.size == 4  # init + 3 steps
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     @pytest.mark.parametrize("reg", list(Regularizer))
     @pytest.mark.parametrize(
         "scale, trace_len",

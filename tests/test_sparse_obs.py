@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schattenmc import sparse_obs
 from schattenmc.sparse_obs import (
     SparseObservations,
     SparseResidual,
@@ -10,9 +15,39 @@ from schattenmc.sparse_obs import (
     masked_residual,
     reset_kernel_madd_count,
     sample_mask,
+    sp_dot,
+    sp_tdot,
 )
 
 from conftest import philox
+
+
+def _scatter_rows(idx, weights, rows, d):
+    # reference: the per-column scatter over a gathered (nnz, d) block that
+    # the sparse kernel path must reproduce bit for bit
+    out = np.empty((rows, d))
+    for k in range(d):
+        out[:, k] = np.bincount(idx, weights=weights[:, k], minlength=rows)
+    return out
+
+
+def reference_sp_dot(obs, values, x):
+    return _scatter_rows(obs.row_idx, values[:, None] * x[obs.col_idx], obs.m, x.shape[1])
+
+
+def reference_sp_tdot(obs, values, x):
+    return _scatter_rows(obs.col_idx, values[:, None] * x[obs.row_idx], obs.n, x.shape[1])
+
+
+def reference_partial_fisher_yates(total, k, rng):
+    # reference: one scalar draw per position
+    swapped = {}
+    out = np.empty(k, dtype=np.int64)
+    for i in range(k):
+        j = int(rng.integers(i, total))
+        out[i] = swapped.get(j, j)
+        swapped[j] = swapped.get(i, i)
+    return out
 
 
 def random_instance(seed, m=10, n=8, d=2, sr=0.25):
@@ -42,6 +77,15 @@ class TestSparseObservations:
         obs = SparseObservations.from_entries(3, 3, [2, 0], [1, 2], [5.0, 7.0])
         assert obs.row_idx.tolist() == [0, 2]
         assert obs.values.tolist() == [7.0, 5.0]
+
+    @pytest.mark.parametrize("m, n", [(-1, 5), (5, -1), (0, 0), (0, 4), (2.5, 3), (3, 3.0), (True, 3)])
+    def test_rejects_bad_dimensions(self, m, n):
+        with pytest.raises(ValueError, match="positive integer"):
+            SparseObservations(m, n, [], [], [])
+
+    def test_numpy_integer_dimensions(self):
+        obs = SparseObservations(np.int64(2), np.int32(3), [1], [2], [1.0])
+        assert (obs.m, obs.n) == (2, 3) and type(obs.m) is int and type(obs.n) is int
 
     def test_dense_roundtrip(self):
         obs = SparseObservations(2, 2, [0, 1], [1, 0], [3.0, 4.0])
@@ -182,3 +226,98 @@ class TestSampleMask:
     def test_floor_of_inexact_product(self):
         rows, _ = sample_mask(10, 10, 0.29, 5)
         assert rows.size == 29
+
+    @pytest.mark.parametrize(
+        "m, n, sr, seed",
+        [
+            (20, 20, 0.3, 7),
+            (256, 256, 0.5, 1),
+            (100, 37, 0.99, 4),
+            (1, 1000, 0.01, 0),
+            (2**16, 2**16, 1e-7, 3),  # total = 2**32
+            (100_000, 50_000, 1e-7, 9),  # total above 2**32
+        ],
+    )
+    def test_matches_scalar_draw_loop(self, m, n, sr, seed):
+        total = m * n
+        k = int(math.floor(sr * total + 1e-9))
+        lin = np.sort(reference_partial_fisher_yates(total, k, philox(seed)))
+        rows, cols = sample_mask(m, n, sr, seed)
+        assert np.array_equal(rows, lin // n) and np.array_equal(cols, lin % n)
+
+
+def _instance(m, n, lin, d, seed):
+    rng = philox(seed)
+    lin = np.sort(np.asarray(lin, dtype=np.int64))
+    obs = SparseObservations(m, n, lin // n, lin % n, rng.uniform(-10, 10, lin.size))
+    u = rng.uniform(-10, 10, (m, d))
+    v = rng.uniform(-10, 10, (n, d))
+    return obs, u, v
+
+
+def _check_kernels(obs, u, v, dense):
+    """Kernels against a dense oracle; bit-exact against the reference on the sparse path."""
+    assert sparse_obs._dense_path(obs) == dense
+    mask = np.zeros((obs.m, obs.n))
+    mask[obs.row_idx, obs.col_idx] = 1.0
+    r_dense = (u @ v.T - obs.dense()) * mask
+    start = kernel_madd_count()
+    r = masked_residual(u, v, obs)
+    assert kernel_madd_count() - start == obs.nnz * u.shape[1]
+    products = [
+        (sp_dot(obs, r.values, v), r_dense @ v, reference_sp_dot(obs, r.values, v)),
+        (sp_tdot(obs, r.values, u), r_dense.T @ u, reference_sp_tdot(obs, r.values, u)),
+        (grad_u(r, v), r_dense @ v, reference_sp_dot(obs, r.values, v)),
+        (grad_v(r, u), r_dense.T @ u, reference_sp_tdot(obs, r.values, u)),
+    ]
+    tol = dict(rtol=1e-12, atol=1e-9)
+    assert np.allclose(r.values, r_dense[obs.row_idx, obs.col_idx], **tol)
+    for got, oracle, reference in products:
+        assert got.shape == oracle.shape and got.dtype == np.float64
+        assert np.allclose(got, oracle, **tol)
+        if not dense:
+            assert np.array_equal(got, reference)
+    if not dense:
+        pred = np.einsum("ij,ij->i", u[obs.row_idx], v[obs.col_idx])
+        assert np.array_equal(r.values, pred - obs.values)
+
+
+@st.composite
+def kernel_instances(draw, dense):
+    m = draw(st.integers(min_value=1, max_value=10))
+    n = draw(st.integers(min_value=1, max_value=10))
+    total = m * n
+    # the kernels take the dense path exactly when m * n <= 3 * nnz
+    lo, hi = (-(-total // 3), total) if dense else (0, (total - 1) // 3)
+    nnz = draw(st.integers(min_value=lo, max_value=hi))
+    lin = draw(st.lists(st.integers(0, total - 1), min_size=nnz, max_size=nnz, unique=True))
+    d = draw(st.integers(min_value=1, max_value=4))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    return _instance(m, n, lin, d, seed)
+
+
+class TestKernelPaths:
+    @settings(max_examples=60, deadline=None)
+    @given(inst=kernel_instances(dense=True))
+    def test_dense_path_matches_oracle(self, inst):
+        _check_kernels(*inst, dense=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=kernel_instances(dense=False))
+    def test_sparse_path_matches_oracle_and_reference(self, inst):
+        _check_kernels(*inst, dense=False)
+
+    @pytest.mark.parametrize(
+        "m, n, lin, d, dense",
+        [
+            (1, 1, [0], 1, True),  # nnz = 1, d = 1
+            (2, 2, [3], 3, False),  # nnz = 1, below the threshold
+            (4, 1, [], 1, False),  # no observations at all
+            (3, 4, [0, 1, 2, 3], 2, True),  # m * n == 3 * nnz; rows 1, 2 empty
+            (3, 4, [0, 1, 2], 1, False),  # one entry short of the threshold
+            (6, 5, [0, 5, 10, 15, 20, 25], 2, False),  # only column 0 observed
+            (5, 6, [0, 1, 2, 3, 4, 5, 24, 25, 26, 27], 4, True),  # empty middle rows
+        ],
+    )
+    def test_corner_cases(self, m, n, lin, d, dense):
+        _check_kernels(*_instance(m, n, lin, d, 5), dense=dense)
