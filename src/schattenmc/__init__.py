@@ -31,7 +31,7 @@ from .linalg import (
 )
 # exported alias; linalg binds each function under one name only
 from .linalg import sigma_max as spectral_norm
-from .metrics import BoundTerms, EvalReport, bound_terms, psnr, rmse, rse
+from .metrics import BoundTerms, bound_terms, psnr, rmse, rse
 from .palm import (
     InitStrategy,
     OptimalityReport,
@@ -88,7 +88,6 @@ __all__ = [
     "spectral_norm",
     "thin_svd",
     "BoundTerms",
-    "EvalReport",
     "bound_terms",
     "psnr",
     "rmse",

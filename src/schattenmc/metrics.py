@@ -13,7 +13,7 @@ from .palm import SolverConfig, optimality_residual
 from .quasinorm import FactorPair, Regularizer
 from .sparse_obs import SparseObservations
 
-__all__ = ["EvalReport", "BoundTerms", "rse", "rmse", "psnr", "bound_terms"]
+__all__ = ["BoundTerms", "rse", "rmse", "psnr", "bound_terms"]
 
 
 @dataclass(frozen=True)
@@ -30,14 +30,6 @@ class BoundTerms:
     c2_lower: float
     sample_term: float
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    rse: float | None = None
-    rmse: float | None = None
-    psnr: float | None = None
-    bound_terms: BoundTerms | None = None
 
 
 def rse(x, z) -> float:

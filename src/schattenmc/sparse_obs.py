@@ -4,24 +4,32 @@ The coordinate layout is parallel (row, col, value) arrays sorted
 lexicographically by (row, col).  The kernels are the masked residual
 P_omega(U V^T - D) and the products S @ X and S^T @ X of the matrix S that
 holds given values on the observed pattern (the gradients R V and R^T U).
-Each picks one of two paths from the observation density alone:
+Each picks one of two paths from the shape, |omega| and the column count d
+of the factor or block it multiplies:
 
-* dense, when m * n <= 3 |omega|: the values are scattered into an m x n
-  array and the products are BLAS matrix products (the residual reads the
-  observed entries of U V^T).  The array takes 8 m n bytes, no more than
-  the 24 bytes per entry the coordinate arrays hold, and m n d stays
-  within 3 |omega| d multiply-adds;
+* dense, when m * n <= max(3 |omega|, min(|omega| d, 2**16)): the values
+  are scattered into an m x n array and the products are BLAS matrix
+  products (the residual reads the observed entries of U V^T);
 * sparse, otherwise: for each of the d columns of X, one gather of a
-  contiguous column and one ``np.bincount`` scatter-accumulate.
+  contiguous column and one ``np.bincount`` scatter-accumulate (the
+  residual repeats each row of U over that row's entries, which the
+  row-sorted layout allows, and gathers the rows of V).
 
-Either way the work is O(|omega| d).
+The first term takes the dense path at density 1/3 and above, where the
+array's 8 m n bytes are no more than the 24 bytes per entry the coordinate
+arrays hold and m n d stays within 3 |omega| d multiply-adds.  The second
+term takes it on small problems whose sparse path would gather at least as
+many values (|omega| d) as the array has cells; d enters because the
+sparse path pays per column while the scatter into the array is paid once.
+Its cap of 2**16 cells keeps that array within 512 KB, so below density 1/3
+no large allocation appears.  Either way the work is O(|omega| d).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +58,9 @@ class SparseObservations:
     row_idx: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
+    # entries per row; entries are row-sorted, so row i owns the next
+    # row_counts[i] of them
+    row_counts: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("m", "n"):
@@ -80,6 +91,7 @@ class SparseObservations:
         object.__setattr__(self, "row_idx", rows)
         object.__setattr__(self, "col_idx", cols)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "row_counts", np.bincount(rows, minlength=self.m))
 
     @classmethod
     def from_entries(cls, m, n, rows, cols, values) -> "SparseObservations":
@@ -132,9 +144,13 @@ def _scatter(obs: SparseObservations, values) -> np.ndarray:
     return out
 
 
-def _dense_path(obs: SparseObservations) -> bool:
-    """Density rule of the kernels (see the module docstring)."""
-    return obs.m * obs.n <= 3 * obs.nnz
+# cells of the largest m x n buffer (512 KB) the rule adds below density 1/3
+_DENSE_CELLS = 2**16
+
+
+def _dense_path(obs: SparseObservations, d: int) -> bool:
+    """Path rule of the kernels for d-column factors (see the module docstring)."""
+    return obs.m * obs.n <= max(3 * obs.nnz, min(obs.nnz * d, _DENSE_CELLS))
 
 
 def masked_residual(u, v, obs: SparseObservations) -> SparseResidual:
@@ -142,10 +158,11 @@ def masked_residual(u, v, obs: SparseObservations) -> SparseResidual:
     global _madd_count
     u = _check_factor(u, obs.m, None, "u")
     v = _check_factor(v, obs.n, u.shape[1], "v")
-    if _dense_path(obs):
+    if _dense_path(obs, u.shape[1]):
         pred = (u @ v.T)[obs.row_idx, obs.col_idx]
     else:
-        pred = np.einsum("ij,ij->i", u[obs.row_idx], v[obs.col_idx])
+        # row-sorted entries: repeating each row of u is the row gather
+        pred = np.einsum("ij,ij->i", np.repeat(u, obs.row_counts, axis=0), v[obs.col_idx])
     _madd_count += obs.nnz * u.shape[1]
     return SparseResidual(obs, pred - obs.values)
 
@@ -162,14 +179,14 @@ def _scatter_columns(idx, other_idx, values, x, rows):
 
 def sp_dot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S @ x for the sparse matrix S with `values` on the obs pattern; x is n x d."""
-    if _dense_path(obs):
+    if _dense_path(obs, x.shape[1]):
         return _scatter(obs, values) @ x
     return _scatter_columns(obs.row_idx, obs.col_idx, values, x, obs.m)
 
 
 def sp_tdot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S^T @ x; x is m x d, result n x d."""
-    if _dense_path(obs):
+    if _dense_path(obs, x.shape[1]):
         return _scatter(obs, values).T @ x
     return _scatter_columns(obs.col_idx, obs.row_idx, values, x, obs.n)
 

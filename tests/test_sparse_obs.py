@@ -87,6 +87,11 @@ class TestSparseObservations:
         obs = SparseObservations(np.int64(2), np.int32(3), [1], [2], [1.0])
         assert (obs.m, obs.n) == (2, 3) and type(obs.m) is int and type(obs.n) is int
 
+    def test_row_counts(self):
+        obs = SparseObservations(4, 3, [0, 0, 2, 3], [0, 2, 1, 1], [1.0, 2.0, 3.0, 4.0])
+        assert obs.row_counts.tolist() == [2, 0, 1, 1]
+        assert "row_counts" not in repr(obs)
+
     def test_dense_roundtrip(self):
         obs = SparseObservations(2, 2, [0, 1], [1, 0], [3.0, 4.0])
         assert obs.dense().tolist() == [[0.0, 3.0], [4.0, 0.0]]
@@ -257,7 +262,7 @@ def _instance(m, n, lin, d, seed):
 
 def _check_kernels(obs, u, v, dense):
     """Kernels against a dense oracle; bit-exact against the reference on the sparse path."""
-    assert sparse_obs._dense_path(obs) == dense
+    assert sparse_obs._dense_path(obs, u.shape[1]) == dense
     mask = np.zeros((obs.m, obs.n))
     mask[obs.row_idx, obs.col_idx] = 1.0
     r_dense = (u @ v.T - obs.dense()) * mask
@@ -282,17 +287,26 @@ def _check_kernels(obs, u, v, dense):
         assert np.array_equal(r.values, pred - obs.values)
 
 
+def _min_dense_nnz(m, n, d):
+    # the kernels take the dense path exactly when
+    # m * n <= max(3 * nnz, min(nnz * d, 2**16)); this is the least such nnz
+    total = m * n
+    per_entry = 3 if total > 2**16 else max(3, d)
+    return -(-total // per_entry)
+
+
 @st.composite
 def kernel_instances(draw, dense):
-    m = draw(st.integers(min_value=1, max_value=10))
-    n = draw(st.integers(min_value=1, max_value=10))
+    # small shapes, where d decides the path, and shapes around the 2**16 cap
+    dims = st.integers(min_value=1, max_value=40) | st.integers(min_value=250, max_value=300)
+    m, n = draw(dims), draw(dims)
+    d = draw(st.integers(min_value=1, max_value=12))
     total = m * n
-    # the kernels take the dense path exactly when m * n <= 3 * nnz
-    lo, hi = (-(-total // 3), total) if dense else (0, (total - 1) // 3)
+    cut = _min_dense_nnz(m, n, d)
+    lo, hi = (cut, total) if dense else (0, cut - 1)
     nnz = draw(st.integers(min_value=lo, max_value=hi))
-    lin = draw(st.lists(st.integers(0, total - 1), min_size=nnz, max_size=nnz, unique=True))
-    d = draw(st.integers(min_value=1, max_value=4))
     seed = draw(st.integers(min_value=0, max_value=2**31))
+    lin = philox(seed + 1).choice(total, nnz, replace=False)
     return _instance(m, n, lin, d, seed)
 
 
@@ -317,6 +331,12 @@ class TestKernelPaths:
             (3, 4, [0, 1, 2], 1, False),  # one entry short of the threshold
             (6, 5, [0, 5, 10, 15, 20, 25], 2, False),  # only column 0 observed
             (5, 6, [0, 1, 2, 3, 4, 5, 24, 25, 26, 27], 4, True),  # empty middle rows
+            (10, 10, range(0, 100, 5), 5, True),  # m * n == nnz * d, 3 * nnz < m * n
+            (10, 10, range(0, 95, 5), 5, False),  # one entry fewer
+            (10, 10, range(33), 1, False),  # d = 1 just below density 1/3
+            (256, 256, range(0, 2**16, 4), 4, True),  # nnz * d == m * n == 2**16
+            (1, 2**16 + 1, range(0, 2**16 + 1, 4), 4, False),  # nnz * d >= m * n above the cap
+            (100, 100, range(0, 10**4, 5), 6, True),  # the synthetic protocol: 2000 entries, d = 6
         ],
     )
     def test_corner_cases(self, m, n, lin, d, dense):
