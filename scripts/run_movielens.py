@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from schattenmc.data import parse_movielens, split_train_test
+from schattenmc.data import FORMATS, parse_movielens, split_train_test
 from schattenmc.metrics import rmse
 from schattenmc.palm import SolverConfig, solve
 from schattenmc.quasinorm import Regularizer
@@ -23,8 +23,7 @@ from schattenmc.rng import spawn_seeds
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--input", required=True)
-    ap.add_argument("--format", default="double-colon",
-                    choices=("double-colon", "tab", "csv"))
+    ap.add_argument("--format", default="double-colon", choices=FORMATS)
     ap.add_argument("--fractions", type=float, nargs="+", default=[0.5, 0.7, 0.9])
     ap.add_argument("--d", type=int, default=10)
     ap.add_argument("--lambda", dest="lam", type=float, default=100.0)
@@ -34,7 +33,7 @@ def main():
 
     with open(args.input, "r", encoding="latin-1") as fh:
         ratings = parse_movielens(fh, args.format)
-    print(f"{ratings.size} ratings, {ratings.m} users x {ratings.n} items, "
+    print(f"{ratings.nnz} ratings, {ratings.m} users x {ratings.n} items, "
           f"{ratings.duplicate_count} duplicates collapsed")
 
     for frac in args.fractions:

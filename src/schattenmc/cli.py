@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    DataFormatError,
     FORMATS,
+    GrayImage,
     corrupt_image,
     gen_synthetic,
     parse_movielens,
@@ -95,7 +95,7 @@ def _numerical_failure(args, path: Path, outputs, t_start, error: str, exc, body
     return 3
 
 
-def _solver_config(args, reg: Regularizer, d: int) -> SolverConfig:
+def _solver_config(args, reg: Regularizer, d: int, seed: int) -> SolverConfig:
     return SolverConfig(
         reg=reg,
         lam=args.lam,
@@ -103,7 +103,7 @@ def _solver_config(args, reg: Regularizer, d: int) -> SolverConfig:
         epsilon=args.epsilon,
         max_iters=args.max_iters,
         init=_INITS[args.init],
-        seed=args.seed,
+        seed=seed,
     )
 
 
@@ -127,8 +127,7 @@ def _cmd_synth(args) -> int:
         fh.write("run,seed,iterations,converged,final_objective,rse,wall_ms\n")
         for i, run_seed in enumerate(run_seeds):
             inst = gen_synthetic(args.m, args.n, args.rank, args.nf, args.sr, run_seed)
-            cfg = _solver_config(args, reg, d)
-            cfg = dataclasses.replace(cfg, seed=run_seed)
+            cfg = _solver_config(args, reg, d, run_seed)
             t0 = time.perf_counter()
             try:
                 report = solve(inst.observations, cfg)
@@ -174,8 +173,7 @@ def _cmd_complete(args) -> int:
     split_seed, solver_seed = spawn_seeds(args.seed, 2)
     train, test = split_train_test(ratings, args.train_frac, split_seed)
     reg = _REGS[args.reg]
-    cfg = _solver_config(args, reg, args.d)
-    cfg = dataclasses.replace(cfg, seed=solver_seed)
+    cfg = _solver_config(args, reg, args.d, solver_seed)
     try:
         report = solve(train, cfg)
     except NumericalError as exc:
@@ -187,7 +185,7 @@ def _cmd_complete(args) -> int:
         "manifest": _manifest("complete", args, [report_path], wall_s),
         "dims": {"users": ratings.m, "items": ratings.n},
         "train_size": train.nnz,
-        "test_size": test.size,
+        "test_size": test.nnz,
         "duplicates": ratings.duplicate_count,
         "rmse": rmse(report.factors, test),
         "iterations": report.iterations,
@@ -214,15 +212,13 @@ def _cmd_image(args) -> int:
     with open(degraded_path, "wb") as fh:
         write_pgm(corruption.degraded, fh)
     reg = _REGS[args.reg]
-    cfg = _solver_config(args, reg, args.d)
+    cfg = _solver_config(args, reg, args.d, args.seed)
     try:
         report = solve(obs, cfg)
     except NumericalError as exc:
         outputs = [degraded_path, report_path]
         return _numerical_failure(args, report_path, outputs, t_start, str(exc), exc, {})
     recovered = np.clip(np.rint(report.factors.product()), 0, 255).astype(np.uint8)
-    from .data import GrayImage
-
     with open(recovered_path, "wb") as fh:
         write_pgm(GrayImage(recovered), fh)
     original = img.pixels.astype(np.float64)
@@ -361,10 +357,7 @@ def main(argv=None) -> int:
     _validate(parser, args)
     try:
         return args.func(args)
-    except (DataFormatError, ValueError) as exc:
-        print(f"schattenmc {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # DataFormatError is a ValueError
         print(f"schattenmc {args.command}: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -1,10 +1,15 @@
 """Instance generation and ingestion: synthetic matrices, rating files,
 train/test splits, and binary PGM images.
+
+A parsed rating file is a ``RatingSet``: the ``SparseObservations`` of its
+users (rows) and items (columns) plus the original ids, so the solver, the
+split and ``metrics.rmse`` all read the same sorted coordinate arrays.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +32,8 @@ __all__ = [
     "corrupt_image",
 ]
 
-FORMATS = ("double-colon", "tab", "csv")
 _SEPARATORS = {"double-colon": "::", "tab": "\t", "csv": ","}
+FORMATS = tuple(_SEPARATORS)
 
 
 class DataFormatError(ValueError):
@@ -47,10 +52,6 @@ class SyntheticInstance:
 
     ground_truth: np.ndarray
     observations: SparseObservations
-    noise_factor: float
-    sampling_ratio: float
-    true_rank: int
-    seed: int
 
 
 def gen_synthetic(m: int, n: int, r: int, nf: float, sr: float, seed: int) -> SyntheticInstance:
@@ -72,50 +73,36 @@ def gen_synthetic(m: int, n: int, r: int, nf: float, sr: float, seed: int) -> Sy
     vals = z[rows, cols]
     if nf > 0:
         vals = vals + nf * philox_rng(noise_seed).standard_normal(rows.size)
-    obs = SparseObservations(m, n, rows, cols, vals)
-    return SyntheticInstance(z, obs, nf, sr, r, seed)
+    return SyntheticInstance(z, SparseObservations(m, n, rows, cols, vals))
 
 
 @dataclass(frozen=True)
-class RatingSet:
-    """Ratings with user/item ids remapped to dense zero-based indices.
+class RatingSet(SparseObservations):
+    """Parsed ratings: users are rows, items are columns, both remapped to
+    dense zero-based indices.
 
-    ``user_ids``/``item_ids`` map dense index -> original id.  When the
-    ratings were mean-centered per user, ``user_offsets`` holds the
-    subtracted means (dense user index order); otherwise it is None.
+    ``user_ids``/``item_ids`` map dense index -> original id;
+    ``duplicate_count`` is the number of repeated (user, item) lines dropped.
     """
 
-    m: int
-    n: int
-    users: np.ndarray
-    items: np.ndarray
-    values: np.ndarray
     user_ids: np.ndarray
     item_ids: np.ndarray
     duplicate_count: int
-    value_min: float
-    value_max: float
-    user_offsets: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
 
 
-def parse_movielens(
-    stream, fmt: str = "double-colon", center_user_means: bool = False
-) -> RatingSet:
+def parse_movielens(stream, fmt: str = "double-colon") -> RatingSet:
     """Parse "user<sep>item<sep>rating[<sep>timestamp]" lines.
 
     Formats: "double-colon" ("::"-separated .dat), "tab", and "csv" (a
     non-numeric header line is skipped).  Duplicate (user, item) pairs keep
-    the last value and are counted.  ``center_user_means`` subtracts each
-    user's mean rating (off by default; values are otherwise kept as-is).
+    the last value and are counted.  Values are kept as-is.
     """
     if fmt not in _SEPARATORS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     sep = _SEPARATORS[fmt]
-    users, items, vals = [], [], []
+    # typed arrays, not lists: a list holds a Python object per field, about
+    # 100 MB for a million ratings, and the heap keeps much of it after it is freed
+    users, items, vals = array("q"), array("q"), array("d")
     for lineno, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8", errors="replace")
@@ -142,12 +129,12 @@ def parse_movielens(
         vals.append(val)
     if not users:
         raise DataFormatError("no ratings found in input")
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.float64)
+    users = np.frombuffer(users, dtype=np.int64)
+    items = np.frombuffer(items, dtype=np.int64)
+    vals = np.frombuffer(vals, dtype=np.float64)
     user_ids, u_dense = np.unique(users, return_inverse=True)
     item_ids, i_dense = np.unique(items, return_inverse=True)
-    m, n = user_ids.size, item_ids.size
+    n = item_ids.size
     key = u_dense * n + i_dense
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
@@ -155,56 +142,28 @@ def parse_movielens(
     last_of_run[:-1] = sorted_key[1:] != sorted_key[:-1]
     keep = order[last_of_run]
     duplicates = int(order.size - keep.size)
-    kept_users = u_dense[keep]
-    kept_vals = vals[keep]
-    offsets = None
-    if center_user_means:
-        sums = np.bincount(kept_users, weights=kept_vals, minlength=m)
-        counts = np.bincount(kept_users, minlength=m)
-        offsets = sums / np.maximum(counts, 1)
-        kept_vals = kept_vals - offsets[kept_users]
-    return RatingSet(
-        m=m,
-        n=n,
-        users=kept_users,
-        items=i_dense[keep],
-        values=kept_vals,
-        user_ids=user_ids,
-        item_ids=item_ids,
-        duplicate_count=duplicates,
-        value_min=float(kept_vals.min()),
-        value_max=float(kept_vals.max()),
-        user_offsets=offsets,
-    )
+    rows, cols, vals = u_dense[keep], i_dense[keep], vals[keep]
+    # free the temporaries before the constructor's checks allocate their own:
+    # the heap keeps its high-water mark through the solve that follows
+    del users, items, u_dense, i_dense, key, order, sorted_key, last_of_run, keep
+    return RatingSet(user_ids.size, n, rows, cols, vals, user_ids, item_ids, duplicates)
 
 
-def split_train_test(rs: RatingSet, train_fraction: float, seed: int):
-    """Seeded uniform split by rating record -> (train observations, test set)."""
+def split_train_test(rs: SparseObservations, train_fraction: float, seed: int):
+    """Seeded uniform split by rating record -> (train, test) observations.
+
+    Each side is a sorted index subset of ``rs``, so it keeps its layout.
+    """
     if not (0.0 < train_fraction < 1.0):
         raise ValueError(f"train fraction must be in (0, 1), got {train_fraction}")
-    size = rs.size
-    k = int(math.floor(train_fraction * size + 1e-9))
-    perm = philox_rng(seed).permutation(size)
-    train_idx = np.sort(perm[:k])
-    test_idx = np.sort(perm[k:])
-    train = SparseObservations.from_entries(
-        rs.m, rs.n, rs.users[train_idx], rs.items[train_idx], rs.values[train_idx]
-    )
-    test_vals = rs.values[test_idx]
-    test = RatingSet(
-        m=rs.m,
-        n=rs.n,
-        users=rs.users[test_idx],
-        items=rs.items[test_idx],
-        values=test_vals,
-        user_ids=rs.user_ids,
-        item_ids=rs.item_ids,
-        duplicate_count=0,
-        value_min=float(test_vals.min()) if test_vals.size else math.nan,
-        value_max=float(test_vals.max()) if test_vals.size else math.nan,
-        user_offsets=rs.user_offsets,
-    )
-    return train, test
+    k = int(math.floor(train_fraction * rs.nnz + 1e-9))
+    perm = philox_rng(seed).permutation(rs.nnz)
+
+    def subset(idx):
+        idx = np.sort(idx)
+        return SparseObservations(rs.m, rs.n, rs.row_idx[idx], rs.col_idx[idx], rs.values[idx])
+
+    return subset(perm[:k]), subset(perm[k:])
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingSet
 from .linalg import as_matrix, frobenius_norm
 from .palm import SolverConfig, optimality_residual
 from .quasinorm import FactorPair, Regularizer
-from .sparse_obs import SparseObservations
+from .sparse_obs import SparseObservations, masked_residual
 
 __all__ = ["BoundTerms", "rse", "rmse", "psnr", "bound_terms"]
 
@@ -44,13 +43,11 @@ def rse(x, z) -> float:
     return frobenius_norm(x - z) / zn
 
 
-def rmse(fp: FactorPair, test: RatingSet) -> float:
+def rmse(fp: FactorPair, test: SparseObservations) -> float:
     """Root mean squared error of u_i . v_j against held-out ratings."""
-    if test.size == 0:
+    if test.nnz == 0:
         raise ValueError("empty test set")
-    pred = np.einsum("ij,ij->i", fp.u[test.users], fp.v[test.items])
-    err = pred - test.values
-    return math.sqrt(float(err @ err) / err.size)
+    return math.sqrt(masked_residual(fp.u, fp.v, test).sq_norm() / test.nnz)
 
 
 def psnr(x, z, max_value: float = 255.0) -> float:

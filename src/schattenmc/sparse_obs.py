@@ -93,15 +93,6 @@ class SparseObservations:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "row_counts", np.bincount(rows, minlength=self.m))
 
-    @classmethod
-    def from_entries(cls, m, n, rows, cols, values) -> "SparseObservations":
-        """Build from unsorted coordinate arrays (sorts, keeps layout invariants)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        order = np.lexsort((cols, rows))
-        return cls(m, n, rows[order], cols[order], values[order])
-
     @property
     def nnz(self) -> int:
         return int(self.row_idx.size)

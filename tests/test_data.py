@@ -7,6 +7,7 @@ import pytest
 from schattenmc.data import (
     DataFormatError,
     GrayImage,
+    RatingSet,
     corrupt_image,
     gen_synthetic,
     parse_movielens,
@@ -14,6 +15,10 @@ from schattenmc.data import (
     split_train_test,
     write_pgm,
 )
+from schattenmc.palm import SolverConfig, solve
+from schattenmc.quasinorm import Regularizer
+from schattenmc.rng import philox_rng
+from schattenmc.sparse_obs import SparseObservations
 
 from conftest import philox
 
@@ -28,6 +33,19 @@ ML_FIXTURE = """1::10::4.5::978300760
 5::12::4.0::978300768
 5::10::1.5::978300769
 """
+
+
+def random_ratings_text(seed, users=40, items=25, lines=500):
+    """Unsorted "user::item::rating" lines over sparse ids, duplicates included."""
+    rng = philox(seed)
+    u = rng.integers(1, 3 * users, size=lines)
+    i = rng.integers(1, 3 * items, size=lines)
+    r = rng.integers(1, 6, size=lines)
+    return "".join(f"{a}::{b}::{c}\n" for a, b, c in zip(u, i, r))
+
+
+def keys(obs):
+    return obs.row_idx * obs.n + obs.col_idx
 
 
 class TestGenSynthetic:
@@ -70,9 +88,9 @@ class TestGenSynthetic:
 class TestParseMovielens:
     def test_single_line(self):
         rs = parse_movielens(io.StringIO("1::10::4.5::978300760\n"))
-        assert rs.size == 1
+        assert rs.nnz == 1
         assert rs.m == 1 and rs.n == 1
-        assert rs.users[0] == 0 and rs.items[0] == 0
+        assert rs.row_idx[0] == 0 and rs.col_idx[0] == 0
         assert rs.values[0] == 4.5
         assert rs.user_ids.tolist() == [1]
         assert rs.item_ids.tolist() == [10]
@@ -80,19 +98,19 @@ class TestParseMovielens:
     def test_duplicate_last_wins(self):
         rs = parse_movielens(io.StringIO("1::10::4.0\n1::10::2.0\n2::10::5.0\n"))
         assert rs.duplicate_count == 1
-        assert rs.size == 2
-        first_user_val = rs.values[rs.users == 0]
+        assert rs.nnz == 2
+        first_user_val = rs.values[rs.row_idx == 0]
         assert first_user_val.tolist() == [2.0]
 
     def test_fixture_hand_checked(self):
         rs = parse_movielens(io.StringIO(ML_FIXTURE))
-        assert rs.size == 10
+        assert rs.nnz == 10
         assert rs.m == 5 and rs.n == 4
-        assert rs.value_min == 1.0 and rs.value_max == 5.0
+        assert rs.values.min() == 1.0 and rs.values.max() == 5.0
         # user 1 rated items 10 and 11; ids remap sorted: 10->0, 11->1
         lookup = {
             (int(u), int(i)): float(v)
-            for u, i, v in zip(rs.users, rs.items, rs.values)
+            for u, i, v in zip(rs.row_idx, rs.col_idx, rs.values)
         }
         assert lookup[(0, 0)] == 4.5
         assert lookup[(0, 1)] == 3.0
@@ -100,13 +118,13 @@ class TestParseMovielens:
 
     def test_tab_format(self):
         rs = parse_movielens(io.StringIO("3\t7\t2.5\t123\n"), fmt="tab")
-        assert rs.size == 1 and rs.values[0] == 2.5
+        assert rs.nnz == 1 and rs.values[0] == 2.5
 
     def test_csv_header_skipped(self):
         rs = parse_movielens(
             io.StringIO("userId,movieId,rating,timestamp\n1,2,3.0,4\n"), fmt="csv"
         )
-        assert rs.size == 1
+        assert rs.nnz == 1
 
     def test_malformed_line_carries_number(self):
         with pytest.raises(DataFormatError) as err:
@@ -127,19 +145,27 @@ class TestParseMovielens:
         with pytest.raises(ValueError):
             parse_movielens(io.StringIO("x"), fmt="pipe")
 
-    def test_user_mean_centering_flag(self):
-        raw = "1::10::4.0\n1::11::2.0\n2::10::5.0\n"
-        plain = parse_movielens(io.StringIO(raw))
-        assert plain.user_offsets is None
-        centered = parse_movielens(io.StringIO(raw), center_user_means=True)
-        assert centered.user_offsets.tolist() == [3.0, 5.0]
-        lookup = {
-            (int(u), int(i)): float(v)
-            for u, i, v in zip(centered.users, centered.items, centered.values)
-        }
-        assert lookup[(0, 0)] == 1.0
-        assert lookup[(0, 1)] == -1.0
-        assert lookup[(1, 0)] == 0.0
+    def test_is_a_sorted_observation_set(self):
+        rs = parse_movielens(io.StringIO(random_ratings_text(1)))
+        assert isinstance(rs, SparseObservations)
+        assert rs.duplicate_count > 0
+        assert np.all(np.diff(keys(rs)) > 0)
+        assert rs.row_counts.sum() == rs.nnz
+        assert (rs.m, rs.n) == (rs.user_ids.size, rs.item_ids.size)
+
+    def test_rating_set_keeps_the_layout_checks(self):
+        ids = np.arange(2)
+        with pytest.raises(ValueError, match="sorted"):
+            RatingSet(2, 2, [1, 0], [0, 0], [1.0, 2.0], ids, ids, 0)
+        with pytest.raises(ValueError, match="finite"):
+            RatingSet(2, 2, [0], [0], [np.nan], ids, ids, 0)
+
+    def test_solve_accepts_rating_set(self):
+        rs = parse_movielens(io.StringIO(random_ratings_text(2)))
+        report = solve(rs, SolverConfig(Regularizer.FN, 1.0, 3, max_iters=20, seed=0))
+        assert report.factors.u.shape == (rs.m, 3)
+        assert report.factors.v.shape == (rs.n, 3)
+        assert np.isfinite(report.objective_trace).all()
 
 
 class TestSplitTrainTest:
@@ -147,16 +173,40 @@ class TestSplitTrainTest:
         rs = parse_movielens(io.StringIO(ML_FIXTURE))
         train, test = split_train_test(rs, 0.7, 1)
         assert train.nnz == 7
-        assert test.size == 3
+        assert test.nnz == 3
 
     def test_partition(self):
         rs = parse_movielens(io.StringIO(ML_FIXTURE))
         train, test = split_train_test(rs, 0.5, 2)
         train_pairs = set(zip(train.row_idx.tolist(), train.col_idx.tolist()))
-        test_pairs = set(zip(test.users.tolist(), test.items.tolist()))
-        all_pairs = set(zip(rs.users.tolist(), rs.items.tolist()))
+        test_pairs = set(zip(test.row_idx.tolist(), test.col_idx.tolist()))
+        all_pairs = set(zip(rs.row_idx.tolist(), rs.col_idx.tolist()))
         assert train_pairs | test_pairs == all_pairs
         assert train_pairs & test_pairs == set()
+
+    def test_sorted_sides_partition_the_parse(self):
+        rs = parse_movielens(io.StringIO(random_ratings_text(3)))
+        train, test = split_train_test(rs, 0.6, 4)
+        for side in (train, test):
+            assert type(side) is SparseObservations
+            assert (side.m, side.n) == (rs.m, rs.n)
+            assert np.all(np.diff(keys(side)) > 0)
+        assert train.nnz == int(0.6 * rs.nnz)
+        merged = np.concatenate([keys(train), keys(test)])
+        order = np.argsort(merged)
+        assert np.array_equal(merged[order], keys(rs))
+        assert np.array_equal(np.concatenate([train.values, test.values])[order], rs.values)
+
+    def test_train_matches_lexsort_reference(self):
+        rs = parse_movielens(io.StringIO(random_ratings_text(5)))
+        train, test = split_train_test(rs, 0.5, 6)
+        perm = philox_rng(6).permutation(rs.nnz)
+        for side, idx in ((train, perm[: train.nnz]), (test, perm[train.nnz :])):
+            rows, cols, vals = rs.row_idx[idx], rs.col_idx[idx], rs.values[idx]
+            order = np.lexsort((cols, rows))
+            assert np.array_equal(side.row_idx, rows[order])
+            assert np.array_equal(side.col_idx, cols[order])
+            assert np.array_equal(side.values, vals[order])
 
     def test_deterministic(self):
         rs = parse_movielens(io.StringIO(ML_FIXTURE))

@@ -8,7 +8,7 @@ from schattenmc.data import gen_synthetic, parse_movielens
 from schattenmc.metrics import bound_terms, psnr, rmse, rse
 from schattenmc.palm import SolverConfig, solve
 from schattenmc.quasinorm import FactorPair, Regularizer
-from schattenmc.sparse_obs import SparseObservations
+from schattenmc.sparse_obs import SparseObservations, _dense_path, sample_mask
 
 from conftest import philox
 
@@ -70,6 +70,31 @@ class TestRmse:
         a = rmse(fp, parse_movielens(io.StringIO("\n".join(lines))))
         b = rmse(fp, parse_movielens(io.StringIO("\n".join(reversed(lines)))))
         assert a == pytest.approx(b, rel=1e-12)
+
+    @staticmethod
+    def gather_einsum_rmse(fp, test):
+        # the formula rmse used before it went through masked_residual
+        pred = np.einsum("ij,ij->i", fp.u[test.row_idx], fp.v[test.col_idx])
+        err = pred - test.values
+        return math.sqrt(float(err @ err) / err.size)
+
+    @pytest.mark.parametrize("m, n, sr, dense", [(300, 200, 0.02, False), (30, 20, 0.8, True)])
+    def test_matches_gather_einsum(self, m, n, sr, dense):
+        rng = philox(10)
+        rows, cols = sample_mask(m, n, sr, 11)
+        test = SparseObservations(m, n, rows, cols, rng.uniform(1, 5, rows.size))
+        fp = FactorPair(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
+        assert _dense_path(test, 3) == dense
+        expected = self.gather_einsum_rmse(fp, test)
+        if dense:
+            assert rmse(fp, test) == pytest.approx(expected, rel=1e-12)
+        else:
+            assert rmse(fp, test) == expected
+
+    def test_empty_test_set(self):
+        fp = FactorPair(np.ones((2, 1)), np.ones((2, 1)))
+        with pytest.raises(ValueError, match="empty test set"):
+            rmse(fp, SparseObservations(2, 2, [], [], []))
 
 
 class TestPsnr:

@@ -73,11 +73,6 @@ class TestSparseObservations:
         with pytest.raises(ValueError):
             SparseObservations(3, 3, [0], [3], [1.0])
 
-    def test_from_entries_sorts(self):
-        obs = SparseObservations.from_entries(3, 3, [2, 0], [1, 2], [5.0, 7.0])
-        assert obs.row_idx.tolist() == [0, 2]
-        assert obs.values.tolist() == [7.0, 5.0]
-
     @pytest.mark.parametrize("m, n", [(-1, 5), (5, -1), (0, 0), (0, 4), (2.5, 3), (3, 3.0), (True, 3)])
     def test_rejects_bad_dimensions(self, m, n):
         with pytest.raises(ValueError, match="positive integer"):
