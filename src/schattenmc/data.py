@@ -4,11 +4,18 @@ train/test splits, and binary PGM images.
 A parsed rating file is a ``RatingSet``: the ``SparseObservations`` of its
 users (rows) and items (columns) plus the original ids, so the solver, the
 split and ``metrics.rmse`` all read the same sorted coordinate arrays.
+
+Ratings are read by numpy's C text reader, ``np.loadtxt``, in one pass over
+the stream.  A Python loop over the lines is the fallback: it reads every
+stream the C reader declines and raises every ``DataFormatError``, and both
+give the same result for every input.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -34,6 +41,15 @@ __all__ = [
 
 _SEPARATORS = {"double-colon": "::", "tab": "\t", "csv": ","}
 FORMATS = tuple(_SEPARATORS)
+# np.loadtxt's one-character delimiter and the columns of user, item, rating:
+# "::" is read as ":" with an empty field between the two colons
+_TABLE_COLUMNS = {
+    "double-colon": (":", (0, 2, 4)),
+    "tab": ("\t", (0, 1, 2)),
+    "csv": (",", (0, 1, 2)),
+}
+_TABLE_DTYPE = np.dtype([("user", np.int64), ("item", np.int64), ("value", np.float64)])
+_SCAN_CHARS = 1 << 20  # block size of the colon scan
 
 
 class DataFormatError(ValueError):
@@ -96,42 +112,13 @@ def parse_movielens(stream, fmt: str = "double-colon") -> RatingSet:
     Formats: "double-colon" ("::"-separated .dat), "tab", and "csv" (a
     non-numeric header line is skipped).  Duplicate (user, item) pairs keep
     the last value and are counted.  Values are kept as-is.
+
+    ``_parse_table`` reads a seekable text stream with ``np.loadtxt``; the
+    line loop ``_parse_lines`` reads whatever it declines.
     """
     if fmt not in _SEPARATORS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    sep = _SEPARATORS[fmt]
-    # typed arrays, not lists: a list holds a Python object per field, about
-    # 100 MB for a million ratings, and the heap keeps much of it after it is freed
-    users, items, vals = array("q"), array("q"), array("d")
-    for lineno, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8", errors="replace")
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(sep)
-        if len(parts) < 3:
-            raise DataFormatError(
-                f"expected at least 3 {fmt!r} fields, got {len(parts)}", lineno
-            )
-        try:
-            uid = int(parts[0])
-            iid = int(parts[1])
-            val = float(parts[2])
-        except ValueError:
-            if fmt == "csv" and lineno == 1 and not users:
-                continue  # header row
-            raise DataFormatError(f"cannot parse fields {parts[:3]}", lineno) from None
-        if not math.isfinite(val):
-            raise DataFormatError(f"non-finite rating {parts[2]!r}", lineno)
-        users.append(uid)
-        items.append(iid)
-        vals.append(val)
-    if not users:
-        raise DataFormatError("no ratings found in input")
-    users = np.frombuffer(users, dtype=np.int64)
-    items = np.frombuffer(items, dtype=np.int64)
-    vals = np.frombuffer(vals, dtype=np.float64)
+    users, items, vals = _parse_table(stream, fmt) or _parse_lines(stream, fmt)
     user_ids, u_dense = np.unique(users, return_inverse=True)
     item_ids, i_dense = np.unique(items, return_inverse=True)
     n = item_ids.size
@@ -149,21 +136,144 @@ def parse_movielens(stream, fmt: str = "double-colon") -> RatingSet:
     return RatingSet(user_ids.size, n, rows, cols, vals, user_ids, item_ids, duplicates)
 
 
+def _fields(parts):
+    """(user, item, rating) of a split line; ValueError where one does not parse."""
+    return int(parts[0]), int(parts[1]), float(parts[2])
+
+
+def _is_csv_header(line: str) -> bool:
+    """The line loop's header test, for a first line."""
+    parts = line.strip().split(",")
+    if len(parts) < 3:
+        return False
+    try:
+        _fields(parts)
+    except ValueError:
+        return True
+    return False
+
+
+def _parse_lines(stream, fmt):
+    """The line loop: (users, items, values) arrays, or DataFormatError with
+    the 1-based line number of the first bad line."""
+    sep = _SEPARATORS[fmt]
+    # typed arrays, not lists: a list holds a Python object per field, about
+    # 100 MB for a million ratings, and the heap keeps much of it after it is freed
+    users, items, vals = array("q"), array("q"), array("d")
+    for lineno, raw in enumerate(stream, start=1):
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8", errors="replace")
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(sep)
+        if len(parts) < 3:
+            raise DataFormatError(
+                f"expected at least 3 {fmt!r} fields, got {len(parts)}", lineno
+            )
+        try:
+            uid, iid, val = _fields(parts)
+        except ValueError:
+            if fmt == "csv" and lineno == 1 and not users:
+                continue  # header row
+            raise DataFormatError(f"cannot parse fields {parts[:3]}", lineno) from None
+        if not math.isfinite(val):
+            raise DataFormatError(f"non-finite rating {parts[2]!r}", lineno)
+        try:
+            users.append(uid)
+            items.append(iid)
+        except OverflowError:
+            raise DataFormatError(f"id outside the int64 range in {parts[:2]}", lineno) from None
+        vals.append(val)
+    if not users:
+        raise DataFormatError("no ratings found in input")
+    return (
+        np.frombuffer(users, dtype=np.int64),
+        np.frombuffer(items, dtype=np.int64),
+        np.frombuffer(vals, dtype=np.float64),
+    )
+
+
+def _colons_paired(text: str) -> bool:
+    """No single ':' and no ':::' in ``text``."""
+    return ":::" not in text and text.count(":") == 2 * text.count("::")
+
+
+def _stream_colons_paired(stream) -> bool:
+    """``_colons_paired`` over the rest of the stream, read in blocks cut at
+    their last newline, so that no '::' is split across two blocks."""
+    tail = ""
+    while block := stream.read(_SCAN_CHARS):
+        block = tail + block
+        cut = block.rfind("\n") + 1
+        if not _colons_paired(block[:cut]):
+            return False
+        tail = block[cut:]
+    return _colons_paired(tail)
+
+
+def _read_table(stream, fmt, start):
+    """One ``np.loadtxt`` pass from ``start``; None where its result could
+    differ from the line loop's."""
+    delimiter, usecols = _TABLE_COLUMNS[fmt]
+    if fmt == "double-colon":
+        # ':' as the delimiter would read "1::2::3:4::5" as (1, 2, 3)
+        if not _stream_colons_paired(stream):
+            return None
+        stream.seek(start)
+    elif fmt == "csv" and not _is_csv_header(stream.readline()):
+        stream.seek(start)
+    with warnings.catch_warnings():
+        # e.g. an int parsed through float ("2.0"), deprecated on some numpy versions
+        warnings.simplefilter("error")
+        table = np.loadtxt(
+            stream, dtype=_TABLE_DTYPE, delimiter=delimiter, usecols=usecols,
+            comments=None, ndmin=1,
+        )
+    if table.size == 0 or not np.isfinite(table["value"]).all():
+        return None
+    return table["user"], table["item"], table["value"]
+
+
+def _parse_table(stream, fmt):
+    """(users, items, values) from numpy's C reader, or None, with the
+    stream back at its start, where the reader declines: a binary or
+    non-seekable stream, or an input it rejects, warns about, finds empty
+    or reads a non-finite rating from."""
+    if not isinstance(stream, io.TextIOBase):
+        return None
+    try:
+        if not stream.seekable():
+            return None
+        start = stream.tell()
+    except (OSError, ValueError):
+        return None
+    try:
+        parsed = _read_table(stream, fmt, start)
+    except (ValueError, OverflowError, OSError, Warning):
+        parsed = None
+    if parsed is None:
+        stream.seek(start)
+    return parsed
+
+
 def split_train_test(rs: SparseObservations, train_fraction: float, seed: int):
     """Seeded uniform split by rating record -> (train, test) observations.
 
-    Each side is a sorted index subset of ``rs``, so it keeps its layout.
+    Each side is a sorted index subset of ``rs``, so it keeps its layout:
+    the first ``k`` positions of a seeded permutation are marked as train,
+    and each side's indices are read off the mark in order.
     """
     if not (0.0 < train_fraction < 1.0):
         raise ValueError(f"train fraction must be in (0, 1), got {train_fraction}")
     k = int(math.floor(train_fraction * rs.nnz + 1e-9))
-    perm = philox_rng(seed).permutation(rs.nnz)
+    is_train = np.zeros(rs.nnz, dtype=bool)
+    is_train[philox_rng(seed).permutation(rs.nnz)[:k]] = True
 
     def subset(idx):
-        idx = np.sort(idx)
         return SparseObservations(rs.m, rs.n, rs.row_idx[idx], rs.col_idx[idx], rs.values[idx])
 
-    return subset(perm[:k]), subset(perm[k:])
+    return subset(np.flatnonzero(is_train)), subset(np.flatnonzero(~is_train))
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,10 @@ def masked_residual(u, v, obs: SparseObservations) -> SparseResidual:
     u = _check_factor(u, obs.m, None, "u")
     v = _check_factor(v, obs.n, u.shape[1], "v")
     if _dense_path(obs, u.shape[1]):
-        pred = (u @ v.T)[obs.row_idx, obs.col_idx]
+        # at d = 1, `@` runs numpy's own loop and np.dot stays on BLAS; each
+        # entry is one product either way, so both give the same bits
+        product = np.dot if u.shape[1] == 1 else np.matmul
+        pred = product(u, v.T)[obs.row_idx, obs.col_idx]
     else:
         # row-sorted entries: repeating each row of u is the row gather
         pred = np.einsum("ij,ij->i", np.repeat(u, obs.row_counts, axis=0), v[obs.col_idx])

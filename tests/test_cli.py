@@ -186,6 +186,13 @@ class TestComplete:
         assert rc == 2
         assert "line" in capsys.readouterr().err
 
+    def test_id_outside_int64_parse_error(self, tmp_path, capsys):
+        data = tmp_path / "r.dat"
+        data.write_text("1::99999999999999999999::3\n")
+        rc = main(["complete", "--input", str(data), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "line 1" in capsys.readouterr().err
+
     def test_missing_input(self, tmp_path):
         rc = main(
             ["complete", "--input", str(tmp_path / "absent.dat"),

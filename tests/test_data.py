@@ -1,10 +1,16 @@
 import io
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schattenmc import data
 from schattenmc.data import (
+    FORMATS,
     DataFormatError,
     GrayImage,
     RatingSet,
@@ -160,12 +166,204 @@ class TestParseMovielens:
         with pytest.raises(ValueError, match="finite"):
             RatingSet(2, 2, [0], [0], [np.nan], ids, ids, 0)
 
+    def test_id_outside_int64_carries_number(self):
+        for text in ("1::99999999999999999999::3\n", "1::2::3\n-9223372036854775809::2::3\n"):
+            with pytest.raises(DataFormatError) as err:
+                parse_movielens(io.StringIO(text))
+            assert err.value.line_number == text.count("\n")
+        edge = "9223372036854775807::-9223372036854775808::1\n"
+        rs = parse_movielens(io.StringIO(edge))
+        assert rs.user_ids.tolist() == [2**63 - 1] and rs.item_ids.tolist() == [-(2**63)]
+
     def test_solve_accepts_rating_set(self):
         rs = parse_movielens(io.StringIO(random_ratings_text(2)))
         report = solve(rs, SolverConfig(Regularizer.FN, 1.0, 3, max_iters=20, seed=0))
         assert report.factors.u.shape == (rs.m, 3)
         assert report.factors.v.shape == (rs.n, 3)
         assert np.isfinite(report.objective_trace).all()
+
+
+SEPARATORS = {"double-colon": "::", "tab": "\t", "csv": ","}
+CSV_HEADER = "userId,movieId,rating,timestamp"
+
+
+class _Unseekable(io.BytesIO):
+    def seekable(self):
+        return False
+
+
+def text_stream(text, seekable=True, newline=None):
+    """A text stream over ``text``; an unseekable one makes the parser take
+    its line loop, since the C reader needs to rewind on a decline."""
+    raw = (io.BytesIO if seekable else _Unseekable)(text.encode("utf-8"))
+    return io.TextIOWrapper(raw, encoding="utf-8", newline=newline)
+
+
+def outcome(stream, fmt):
+    """Everything a parse returns: the arrays' dtypes and bytes, or the error."""
+    try:
+        rs = parse_movielens(stream, fmt)
+    except DataFormatError as err:
+        return "error", str(err), err.line_number
+    arrays = (rs.row_idx, rs.col_idx, rs.values, rs.user_ids, rs.item_ids)
+    return "ok", rs.m, rs.n, rs.duplicate_count, [(a.dtype.str, a.tobytes()) for a in arrays]
+
+
+def assert_paths_agree(text, fmt, newline=None):
+    fast = outcome(text_stream(text, True, newline), fmt)
+    loop = outcome(text_stream(text, False, newline), fmt)
+    assert fast == loop
+    return fast
+
+
+# tokens both parsers read, and the faults: odd ids, values and separators
+# (non-ASCII digits, underscores, signs, ids beyond int64, non-finite or
+# unparseable values), junk extra fields, short, blank and header lines
+IDS = st.integers(-2, 12).map(str) | st.sampled_from(["+7", "007", " 8 ", "-0"])
+VALUES = st.sampled_from(
+    ["1", "2.5", "3.0", "4", "5e0", "-1.25", "+4.5", "4.", ".5", "-0.0", "1e-400"]
+)
+EXTRAS = ["978300760", "x", ""]
+PADS = ["", " ", "\t", " \t ", "\xa0"]
+ODD_IDS = [
+    "1_0", "\u0661", "\uff12", "2.0", "1e3", "0x1", "", "x", "nan", "\xa05", "5\x00",
+    "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+    "-9223372036854775809", "99999999999999999999",
+]
+ODD_VALUES = [
+    "nan", "-nan", "inf", "-Infinity", "3e400", "-3e400", "1_0.5", "\u0663", "\uff13.5",
+    "0x1p3", "", " ", "4,5", "5\x00", "x",
+]
+ODD_EXTRAS = ["1:2", "a::b", ":", "a\tb", "a,b"]
+ODD_SEPARATORS = {"double-colon": [":", ":::"], "tab": ["\t\t", " "], "csv": [",,", ";"]}
+FAULTS = ["id", "value", "separator", "extra", "short", "blank", "header", "cr"]
+COLON_RUNS = st.sampled_from(["::", ":", ":::", "::::"])
+
+
+@st.composite
+def rating_lines(draw, fmt, fault=None):
+    """A valid record line, or one with the given fault."""
+    if fault == "blank":
+        return draw(st.sampled_from(["", " ", "\t", " \t "]))
+    if fault == "header":
+        return CSV_HEADER
+    fields = [draw(IDS), draw(IDS), draw(VALUES)]
+    if fault == "id":
+        fields[draw(st.integers(0, 1))] = draw(st.sampled_from(ODD_IDS))
+    elif fault == "value":
+        fields[2] = draw(st.sampled_from(ODD_VALUES))
+    elif fault == "short":
+        fields = fields[: draw(st.integers(1, 2))]
+    if fault in ("extra", "separator") or draw(st.booleans()):
+        fields.append(draw(st.sampled_from(ODD_EXTRAS if fault == "extra" else EXTRAS)))
+    seps = [SEPARATORS[fmt]] * (len(fields) - 1)
+    if fault == "separator":
+        seps[draw(st.integers(0, len(seps) - 1))] = draw(st.sampled_from(ODD_SEPARATORS[fmt]))
+    pad = st.sampled_from(PADS)
+    return draw(pad) + fields[0] + "".join(s + f for s, f in zip(seps, fields[1:])) + draw(pad)
+
+
+@st.composite
+def rating_texts(draw):
+    """Valid lines with up to two faults inserted; duplicates come from the
+    small id range."""
+    fmt = draw(st.sampled_from(FORMATS))
+    lines = draw(st.lists(rating_lines(fmt), min_size=1, max_size=10))
+    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=2))
+    for fault in faults:
+        if fault != "cr":
+            lines.insert(draw(st.integers(0, len(lines))), draw(rating_lines(fmt, fault)))
+    if fmt == "csv" and draw(st.booleans()):
+        lines.insert(0, CSV_HEADER)
+    endings = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if "cr" in faults:
+        endings[draw(st.integers(0, len(lines) - 1))] = "\r"
+    if draw(st.booleans()):
+        endings[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, endings))
+    return text, fmt, draw(st.sampled_from([None, "", "\n"]))
+
+
+class TestParsePaths:
+    """numpy's C reader and the line loop give the same parse or error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=rating_texts())
+    def test_fast_path_agrees_with_loop(self, case):
+        assert_paths_agree(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.lists(COLON_RUNS, min_size=2, max_size=3), max_size=4))
+    def test_colon_runs_agree(self, lines):
+        # records "1?2?3[?9]" with colon runs as separators: ':' is the C
+        # reader's delimiter for "::", so any other run must go to the loop
+        text = "".join(
+            "".join(f"{k + 1}{sep}" for k, sep in enumerate(seps)) + "9\n" for seps in lines
+        )
+        assert_paths_agree(text, "double-colon")
+
+    def test_clean_file_takes_the_c_reader(self):
+        for fmt in FORMATS:
+            text = random_ratings_text(7).replace("::", SEPARATORS[fmt])
+            if fmt == "csv":
+                text = CSV_HEADER + "\n" + text
+            stream = text_stream(text)
+            parsed = data._parse_table(stream, fmt)
+            assert parsed is not None and stream.read() == ""
+            assert assert_paths_agree(text, fmt)[0] == "ok"
+
+    @pytest.mark.parametrize(
+        "text, fmt",
+        [
+            ("1::2::3:4::5\n", "double-colon"),  # single colon: ':' would read (1, 2, 3)
+            ("1::2::3:::4\n", "double-colon"),  # three colons in a row
+            ("1::2.0::3\n", "double-colon"),  # rejected by the C reader
+            ("1::99999999999999999999::3\n", "double-colon"),  # id outside int64
+            ("1::2::3e400\n", "double-colon"),  # parses to inf
+            ("1::2::nan\n", "double-colon"),
+            ("1\t2\t3\n \n", "tab"),  # whitespace-only line
+            ("\ufeff1,2,3\n", "csv"),  # byte-order mark
+            (CSV_HEADER + "\n", "csv"),  # no rows
+            ("", "tab"),  # no data: the C reader warns
+        ],
+    )
+    def test_decline_rewinds_to_the_loop(self, text, fmt):
+        stream = text_stream(text)
+        assert data._parse_table(stream, fmt) is None
+        assert stream.tell() == 0
+        assert_paths_agree(text, fmt)
+
+    def test_unseekable_or_binary_stream_is_not_read(self):
+        for stream in (text_stream("1::2::3\n", seekable=False), io.BytesIO(b"1::2::3\n")):
+            assert data._parse_table(stream, "double-colon") is None
+            assert stream.read()
+        assert parse_movielens(io.BytesIO(b"1::2::3\n")).values.tolist() == [3.0]
+
+    def test_warning_declines(self, monkeypatch):
+        # older numpy parses the int "2.0" as 2 with a DeprecationWarning
+        real = np.loadtxt
+
+        def lenient(stream, **kwargs):
+            table = real(io.StringIO(stream.read().replace("2.0", "2")), **kwargs)
+            warnings.warn("parsing an integer via a float", DeprecationWarning)
+            return table
+
+        monkeypatch.setattr(np, "loadtxt", lenient)
+        with pytest.raises(DataFormatError, match="cannot parse") as err:
+            parse_movielens(text_stream("1::2::3\n1::2.0::3\n"))
+        assert err.value.line_number == 2
+
+    def test_scan_blocks_cut_at_newlines(self, monkeypatch):
+        monkeypatch.setattr(data, "_SCAN_CHARS", 5)  # splits most '::' across reads
+        assert data._stream_colons_paired(io.StringIO("12::34::5\n6::7::8::9\n"))
+        assert not data._stream_colons_paired(io.StringIO("12::34::5\n6::7:8::9"))
+        assert not data._stream_colons_paired(io.StringIO("12::34::5\n6::7::::9"))
+
+    def test_csv_header_only_on_the_first_line(self):
+        late = ("1,2,3\n" + CSV_HEADER + "\n", "\n" + CSV_HEADER + "\n1,2,3\n", "a,b\n1,2,3\n")
+        for text in late:
+            assert assert_paths_agree(text, "csv")[0] == "error"
+        assert assert_paths_agree(" " + CSV_HEADER + " \r\n1,2,3\n", "csv")[0] == "ok"
 
 
 class TestSplitTrainTest:

@@ -336,3 +336,16 @@ class TestKernelPaths:
     )
     def test_corner_cases(self, m, n, lin, d, dense):
         _check_kernels(*_instance(m, n, lin, d, 5), dense=dense)
+
+    def test_dense_residual_at_d1_is_the_outer_product(self):
+        obs, u, v = _instance(100, 100, range(0, 10**4, 2), 1, 7)
+        assert sparse_obs._dense_path(obs, 1)
+        r = masked_residual(u, v, obs).values
+        outer = np.outer(u[:, 0], v[:, 0])[obs.row_idx, obs.col_idx]
+        assert np.array_equal(r, outer - obs.values)
+        # zero data and signed-zero factors: the residual is the product's own
+        # bits, which must be those of `@` (0.0 + u v, never -0.0)
+        zero = SparseObservations(obs.m, obs.n, obs.row_idx, obs.col_idx, np.zeros(obs.nnz))
+        u[::3] = -0.0
+        got = masked_residual(u, v, zero).values
+        assert got.tobytes() == (u @ v.T)[zero.row_idx, zero.col_idx].tobytes()
