@@ -31,7 +31,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    with open(args.input, "r", encoding="latin-1") as fh:
+    with open(args.input, "r", encoding="utf-8-sig") as fh:
         ratings = parse_movielens(fh, args.format)
     print(f"{ratings.nnz} ratings, {ratings.m} users x {ratings.n} items, "
           f"{ratings.duplicate_count} duplicates collapsed")

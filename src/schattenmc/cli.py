@@ -168,7 +168,8 @@ def _cmd_complete(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
     t_start = time.perf_counter()
-    with open(args.input, "r") as fh:
+    # utf-8-sig drops a leading byte-order mark, also after the parser's rewind
+    with open(args.input, "r", encoding="utf-8-sig") as fh:
         ratings = parse_movielens(fh, args.format)
     split_seed, solver_seed = spawn_seeds(args.seed, 2)
     train, test = split_train_test(ratings, args.train_frac, split_seed)

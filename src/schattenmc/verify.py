@@ -1,13 +1,18 @@
 """Randomized numerical checks of the quasi-norm identities.
 
-Each property draws a seeded corpus of random low-rank matrices and records
-its worst normalized violation; a property passes when that maximum stays
-within tolerance.  ``tolerance_scale`` exists as a testing hook to force
-failures (scale 0 makes any nonzero violation fail).
+One seeded loop draws one corpus of random low-rank 30 x 20 matrices (rank
+1 to 8) and takes one thin SVD of each.  Its trimmed spectrum and optimal
+factor pairs feed every property but homogeneity, whose own SVD of the
+scaled matrix is what it tests.  Each property records its worst normalized
+violation; a property passes when that maximum stays within tolerance.
+``tolerance_scale`` exists as a testing hook to force failures (scale 0
+makes any nonzero violation fail).
 
-Norms, optimal factor pairs and penalty values all come from ``quasinorm``;
-where a property already holds a matrix's SVD it passes that on rather than
-decomposing the matrix again.
+Random orthogonal matrices are Householder QR factors of Gaussian stacks,
+with column signs set so that R has a positive diagonal; that makes them
+exactly Haar-distributed (Mezzadri, "How to generate random matrices from
+the classical compact groups", Notices AMS 2007).  Norms, optimal factor
+pairs and penalty values all come from ``quasinorm``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .quasinorm import (
     spectrum_quasi_norm,
     trace_power,
 )
-from .rng import philox_rng, spawn_seeds
+from .rng import philox_rng
 
 __all__ = ["PropertyResult", "run_property_suite"]
 
@@ -41,6 +46,11 @@ _TOLERANCES = {
     "absolute_homogeneity": 1e-10,
 }
 
+_SHAPE = (30, 20)
+_MAX_RANK = 8
+# random feasible factorizations scored against each matrix's quasi-norms
+_FACTORIZATIONS_PER_MATRIX = 100
+
 
 @dataclass(frozen=True)
 class PropertyResult:
@@ -52,18 +62,10 @@ class PropertyResult:
 
 
 def _random_orthogonal_stack(rng, batch: int, k: int) -> np.ndarray:
-    """Products of random Givens rotations; orthogonal, deterministic per rng."""
-    q = np.broadcast_to(np.eye(k), (batch, k, k)).copy()
-    for p in range(k - 1):
-        for j in range(p + 1, k):
-            theta = rng.uniform(0.0, 2.0 * math.pi, size=batch)
-            c = np.cos(theta)[:, None]
-            s = np.sin(theta)[:, None]
-            cp = q[:, :, p].copy()
-            cj = q[:, :, j].copy()
-            q[:, :, p] = c * cp - s * cj
-            q[:, :, j] = s * cp + c * cj
-    return q
+    """``batch`` Haar-distributed k x k orthogonal matrices, deterministic per rng."""
+    q, r = np.linalg.qr(rng.standard_normal((batch, k, k)))
+    # without the sign fix Q's distribution depends on LAPACK's sign convention
+    return q * np.copysign(1.0, np.diagonal(r, axis1=1, axis2=2))[:, None, :]
 
 
 def _mixing_stack(rng, batch: int, k: int):
@@ -79,15 +81,6 @@ def _mixing_stack(rng, batch: int, k: int):
     return g, g_inv_t
 
 
-def _corpus(rng, trials, shape, max_rank):
-    m, n = shape
-    for _ in range(trials):
-        rank = int(rng.integers(1, max_rank + 1))
-        a = rng.standard_normal((m, rank))
-        b = rng.standard_normal((n, rank))
-        yield rank, a @ b.T
-
-
 def _norms(s: np.ndarray):
     """Nuclear, FN and BIN (quasi-)norms from one spectrum."""
     return tuple(
@@ -96,117 +89,73 @@ def _norms(s: np.ndarray):
 
 
 def run_property_suite(
-    trials: int,
-    seed: int,
-    shape=(30, 20),
-    max_rank: int = 8,
-    factorizations_per_matrix: int = 100,
-    tolerance_scale: float = 1.0,
+    trials: int, seed: int, tolerance_scale: float = 1.0
 ) -> list[PropertyResult]:
     """Run every property over ``trials`` seeded random matrices."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    seeds = spawn_seeds(seed, 6)
-    results = []
+    rng = philox_rng(seed)
+    worst = dict.fromkeys(_TOLERANCES, -math.inf)
 
-    def record(name, worst, n_trials):
-        tol = _TOLERANCES[name] * tolerance_scale
-        results.append(PropertyResult(name, n_trials, tol, worst, worst <= tol))
+    def note(name, *violations):
+        worst[name] = max(worst[name], *violations)
 
-    # attainment: the surrogate at the optimal factorization equals the norm
-    worst = {Regularizer.FN: 0.0, Regularizer.BIN: 0.0}
-    rng = philox_rng(seeds[0])
-    for rank, x in _corpus(rng, trials, shape, max_rank):
+    m, n = _SHAPE
+    k = min(_SHAPE)
+    for _ in range(trials):
+        rank = int(rng.integers(1, _MAX_RANK + 1))
+        x = rng.standard_normal((m, rank)) @ rng.standard_normal((n, rank)).T
         f = thin_svd(x)
         s = trim_singular_values(f.singular_values)
-        for reg in Regularizer:
-            ref = spectrum_quasi_norm(s, reg.p)
+        nuc, fn, bn = _norms(s)
+
+        # attainment: the surrogate at the optimal factorization equals the
+        # norm; lower bound: any feasible factorization scores at least it
+        g, g_inv_t = _mixing_stack(rng, _FACTORIZATIONS_PER_MATRIX, rank)
+        for reg, ref in ((Regularizer.FN, fn), (Regularizer.BIN, bn)):
             pair = factor_pair_from_svd(f, reg, rank)
             got = factor_surrogate_value(pair.u, pair.v, reg)
-            worst[reg] = max(worst[reg], abs(got - ref) / ref)
-    record("fn_attainment", worst[Regularizer.FN], trials)
-    record("bin_attainment", worst[Regularizer.BIN], trials)
-
-    # lower bound: any feasible factorization scores at least the norm
-    worst = {Regularizer.FN: -math.inf, Regularizer.BIN: -math.inf}
-    rng = philox_rng(seeds[1])
-    for rank, x in _corpus(rng, trials, shape, max_rank):
-        f = thin_svd(x)
-        s = trim_singular_values(f.singular_values)
-        g, g_inv_t = _mixing_stack(rng, factorizations_per_matrix, rank)
-        for reg in Regularizer:
-            ref = spectrum_quasi_norm(s, reg.p)
-            pair = factor_pair_from_svd(f, reg, rank)
+            note(f"{reg.value}_attainment", abs(got - ref) / ref)
             us = np.matmul(pair.u[None], g)
             vs = np.matmul(pair.v[None], g_inv_t)
             vals = factor_surrogate_value(us, vs, reg)
             # positive when a factorization dips below the quasi-norm
-            violation = float(np.max((ref - vals) / ref))
-            worst[reg] = max(worst[reg], violation)
-    record("fn_factorization_lower_bound", worst[Regularizer.FN], trials)
-    record("bin_factorization_lower_bound", worst[Regularizer.BIN], trials)
+            note(f"{reg.value}_factorization_lower_bound", float(np.max((ref - vals) / ref)))
 
-    # sandwich inequalities against the nuclear norm
-    worst_fn = -math.inf
-    worst_chain = -math.inf
-    rng = philox_rng(seeds[2])
-    for rank, x in _corpus(rng, trials, shape, max_rank):
-        nuc, fn, bn = _norms(singular_values(x))
-        worst_fn = max(
-            worst_fn,
-            (nuc - fn) / nuc,
-            (fn - math.sqrt(rank) * nuc) / nuc,
-        )
-        worst_chain = max(
-            worst_chain,
+        # sandwich inequalities against the nuclear norm
+        note("sandwich_fn_sqrt_rank", (nuc - fn) / nuc, (fn - math.sqrt(rank) * nuc) / nuc)
+        note(
+            "sandwich_nuclear_fn_bin_rank",
             (nuc - fn) / nuc,
             (fn - bn) / nuc,
             (bn - rank * nuc) / nuc,
         )
-    record("sandwich_fn_sqrt_rank", worst_fn, trials)
-    record("sandwich_nuclear_fn_bin_rank", worst_chain, trials)
 
-    # diagonal trace powers can only grow under orthogonal conjugation
-    worst = -math.inf
-    rng = philox_rng(seeds[3])
-    k = min(shape)
-    for _ in range(trials):
-        diag = np.sort(np.abs(rng.standard_normal(k)) + 0.01)[::-1]
-        sig = np.diag(diag)
-        a = _random_orthogonal_stack(rng, 1, k)[0]
-        rotated = a @ sig @ a.T
+        # diagonal trace powers can only grow under orthogonal conjugation
+        sig = np.diag(np.sort(np.abs(rng.standard_normal(k)) + 0.01)[::-1])
+        q = _random_orthogonal_stack(rng, 1, k)[0]
+        rotated = q @ sig @ q.T
         for p in (Regularizer.BIN.p, Regularizer.FN.p):
             base = trace_power(sig, p)
-            violation = (base - trace_power(rotated, p)) / base
-            worst = max(worst, violation)
-    record("trace_power_rotation", worst, trials)
+            note("trace_power_rotation", (base - trace_power(rotated, p)) / base)
 
-    # nuclear norm equals ||U||_F ||V||_F at the square-root-split factors
-    worst = 0.0
-    rng = philox_rng(seeds[4])
-    for rank, x in _corpus(rng, trials, shape, max_rank):
-        f = thin_svd(x)
-        s = trim_singular_values(f.singular_values)
-        nuc = float(np.sum(s))
+        # nuclear norm equals ||U||_F ||V||_F at the square-root-split factors
         root = np.sqrt(s[:rank])
         u = f.left[:, :rank] * root
         v = f.right[:, :rank] * root
-        got = frobenius_norm(u) * frobenius_norm(v)
-        worst = max(worst, abs(got - nuc) / nuc)
-    record("nuclear_norm_factorization", worst, trials)
+        note("nuclear_norm_factorization", abs(frobenius_norm(u) * frobenius_norm(v) - nuc) / nuc)
 
-    # absolute homogeneity of both quasi-norms
-    worst = 0.0
-    rng = philox_rng(seeds[5])
-    for rank, x in _corpus(rng, trials, shape, max_rank):
-        _, fn, bn = _norms(singular_values(x))
+        # absolute homogeneity of both quasi-norms
         for a in (-2.0, 0.5):
             _, fn_a, bn_a = _norms(singular_values(a * x))
-            worst = max(
-                worst,
+            note(
+                "absolute_homogeneity",
                 abs(fn_a - abs(a) * fn) / (abs(a) * fn),
                 abs(bn_a - abs(a) * bn) / (abs(a) * bn),
             )
-    record("absolute_homogeneity", worst, trials)
 
+    results = []
+    for name, tol in _TOLERANCES.items():
+        tol *= tolerance_scale
+        results.append(PropertyResult(name, trials, tol, worst[name], worst[name] <= tol))
     return results

@@ -193,6 +193,30 @@ class TestComplete:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "tail",
+        # "" keeps the C reader's path; a whitespace-only last line makes that
+        # reader decline, so the line loop reads the file after a rewind
+        ["", " \n"],
+        ids=["table-reader", "line-loop"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, tail):
+        reports = []
+        for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+            data = tmp_path / f"{name}.dat"
+            data.write_text(prefix + ML_LINES + tail, encoding="utf-8")
+            out = tmp_path / name
+            rc = main(
+                ["complete", "--input", str(data), "--train-frac", "0.7", "--d", "2",
+                 "--lambda", "0.5", "--seed", "5", "--max-iters", "50", "--out", str(out)]
+            )
+            assert rc == 0
+            rep = json.loads((out / "report.json").read_text())
+            del rep["manifest"]
+            reports.append(rep)
+        assert reports[1] == reports[0]
+        assert reports[1]["dims"] == {"users": 7, "items": 4}
+
     def test_missing_input(self, tmp_path):
         rc = main(
             ["complete", "--input", str(tmp_path / "absent.dat"),

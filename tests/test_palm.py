@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schattenmc import palm
 from schattenmc.data import gen_synthetic
@@ -322,6 +324,43 @@ class TestSolve:
         with pytest.raises(SolveFailure, match="non-finite") as exc_info:
             solve(big, SolverConfig(reg=reg, lam=1.0, d=3))
         assert exc_info.value.objective_trace.size == trace_len
+
+
+@st.composite
+def solve_cases(draw):
+    m = draw(st.integers(min_value=1, max_value=40))
+    n = draw(st.integers(min_value=1, max_value=40))
+    rank = draw(st.integers(min_value=1, max_value=min(m, n)))
+    # raised where needed so that at least one entry is observed
+    sr = max(draw(st.floats(min_value=0.05, max_value=1.0)), 1.0 / (m * n))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    x = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0)) * low_rank(
+        philox(seed), m, n, rank
+    )
+    rows, cols = sample_mask(m, n, sr, seed)
+    cfg = SolverConfig(
+        reg=draw(st.sampled_from(Regularizer)),
+        lam=draw(st.sampled_from([0.0, 1e-3, 1.0, 5.0, 50.0])),
+        d=draw(st.integers(min_value=1, max_value=min(m, n) + 3)),
+        max_iters=draw(st.integers(min_value=1, max_value=60)),
+        init=draw(st.sampled_from(InitStrategy)),
+        seed=seed,
+    )
+    return SparseObservations(m, n, rows, cols, x[rows, cols]), cfg
+
+
+class TestSolveInvariants:
+    @settings(max_examples=300, deadline=None)
+    @given(case=solve_cases())
+    def test_finite_monotone_and_bounded(self, case):
+        obs, cfg = case
+        rep = solve(obs, cfg)
+        tr = rep.objective_trace
+        assert np.isfinite(tr).all()
+        assert np.isfinite(rep.factors.u).all() and np.isfinite(rep.factors.v).all()
+        assert np.all(np.diff(tr) <= 1e-12 * max(1.0, abs(tr[0])))
+        assert rep.iterations <= cfg.max_iters
+        assert tr.shape == (rep.iterations + 1,)
 
 
 class TestRegTermConsistency:
