@@ -27,7 +27,7 @@ DS = [1, 6, 30, 100]
 
 def kernel_cost_us(obs, u, v, dense):
     rule = sparse_obs._dense_path
-    sparse_obs._dense_path = lambda o, d: dense
+    sparse_obs._dense_path = lambda o: dense
 
     def iteration():
         r = masked_residual(u, v, obs)
@@ -54,7 +54,7 @@ def main():
                 u, v = rng.standard_normal((m, d)), rng.standard_normal((n, d))
                 dense_us = kernel_cost_us(obs, u, v, True)
                 sparse_us = kernel_cost_us(obs, u, v, False)
-                pick = sparse_obs._dense_path(obs, d)
+                pick = sparse_obs._dense_path(obs)
                 ratio = dense_us / sparse_us if pick else sparse_us / dense_us
                 points += 1
                 slower += ratio > 1.05

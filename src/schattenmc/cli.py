@@ -38,9 +38,6 @@ from .verify import run_property_suite
 
 SCHEMA = "schatten-mc/1"
 
-_REGS = {"fn": Regularizer.FN, "bin": Regularizer.BIN}
-_INITS = {"spectral": InitStrategy.SPECTRAL_SCALED, "gaussian": InitStrategy.GAUSSIAN_SCALED}
-
 
 def _json_safe(obj):
     if isinstance(obj, dict):
@@ -95,14 +92,14 @@ def _numerical_failure(args, path: Path, outputs, t_start, error: str, exc, body
     return 3
 
 
-def _solver_config(args, reg: Regularizer, d: int, seed: int) -> SolverConfig:
+def _solver_config(args, d: int, seed: int) -> SolverConfig:
     return SolverConfig(
-        reg=reg,
+        reg=Regularizer(args.reg),
         lam=args.lam,
         d=d,
         epsilon=args.epsilon,
         max_iters=args.max_iters,
-        init=_INITS[args.init],
+        init=InitStrategy(args.init),
         seed=seed,
     )
 
@@ -118,7 +115,6 @@ def _cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "runs.csv"
     summary_path = out / "summary.json"
-    reg = _REGS[args.reg]
     d = args.d if args.d is not None else int(math.floor(1.25 * args.rank))
     t_start = time.perf_counter()
     run_seeds = spawn_seeds(args.seed, args.runs)
@@ -127,7 +123,7 @@ def _cmd_synth(args) -> int:
         fh.write("run,seed,iterations,converged,final_objective,rse,wall_ms\n")
         for i, run_seed in enumerate(run_seeds):
             inst = gen_synthetic(args.m, args.n, args.rank, args.nf, args.sr, run_seed)
-            cfg = _solver_config(args, reg, d, run_seed)
+            cfg = _solver_config(args, d, run_seed)
             t0 = time.perf_counter()
             try:
                 report = solve(inst.observations, cfg)
@@ -173,8 +169,7 @@ def _cmd_complete(args) -> int:
         ratings = parse_movielens(fh, args.format)
     split_seed, solver_seed = spawn_seeds(args.seed, 2)
     train, test = split_train_test(ratings, args.train_frac, split_seed)
-    reg = _REGS[args.reg]
-    cfg = _solver_config(args, reg, args.d, solver_seed)
+    cfg = _solver_config(args, args.d, solver_seed)
     try:
         report = solve(train, cfg)
     except NumericalError as exc:
@@ -212,8 +207,7 @@ def _cmd_image(args) -> int:
     obs, corruption = corrupt_image(img, args.corrupt_frac, args.noise_sigma, args.seed)
     with open(degraded_path, "wb") as fh:
         write_pgm(corruption.degraded, fh)
-    reg = _REGS[args.reg]
-    cfg = _solver_config(args, reg, args.d, args.seed)
+    cfg = _solver_config(args, args.d, args.seed)
     try:
         report = solve(obs, cfg)
     except NumericalError as exc:
@@ -281,11 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_solver_flags(sp, lam_default):
-        sp.add_argument("--reg", choices=sorted(_REGS), default="fn")
+        sp.add_argument("--reg", choices=sorted(r.value for r in Regularizer), default="fn")
         sp.add_argument("--lambda", dest="lam", type=float, default=lam_default)
         sp.add_argument("--epsilon", type=float, default=1e-4)
         sp.add_argument("--max-iters", type=_positive_int, default=1000)
-        sp.add_argument("--init", choices=sorted(_INITS), default="spectral")
+        sp.add_argument(
+            "--init", choices=sorted(i.value for i in InitStrategy), default="spectral"
+        )
         sp.add_argument("--seed", type=int, default=0)
 
     synth = sub.add_parser("synth", help="seeded synthetic completion benchmark")
@@ -336,8 +332,8 @@ def _validate(parser, args) -> None:
     if args.command == "synth":
         if not (0.0 < args.sr <= 1.0):
             parser.error(f"--sr must be in (0, 1], got {args.sr}")
-        if args.nf < 0:
-            parser.error(f"--nf must be >= 0, got {args.nf}")
+        if not 0.0 <= args.nf < math.inf:
+            parser.error(f"--nf must be finite and >= 0, got {args.nf}")
         if args.rank > min(args.m, args.n):
             parser.error("--rank exceeds min(m, n)")
     elif args.command == "complete":
@@ -346,10 +342,13 @@ def _validate(parser, args) -> None:
     elif args.command == "image":
         if not (0.0 <= args.corrupt_frac < 1.0):
             parser.error(f"--corrupt-frac must be in [0, 1), got {args.corrupt_frac}")
-    if getattr(args, "lam", 0.0) < 0:
-        parser.error("--lambda must be >= 0")
-    if getattr(args, "epsilon", 1.0) <= 0:
-        parser.error("--epsilon must be positive")
+        if not 0.0 <= args.noise_sigma < math.inf:
+            parser.error(f"--noise-sigma must be finite and >= 0, got {args.noise_sigma}")
+    # the same checks as SolverConfig's, made before any output is written
+    if not 0.0 <= getattr(args, "lam", 0.0) < math.inf:
+        parser.error(f"--lambda must be finite and >= 0, got {args.lam}")
+    if not 0.0 < getattr(args, "epsilon", 1.0) < math.inf:
+        parser.error(f"--epsilon must be finite and positive, got {args.epsilon}")
 
 
 def main(argv=None) -> int:

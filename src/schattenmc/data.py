@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -78,8 +79,8 @@ def gen_synthetic(m: int, n: int, r: int, nf: float, sr: float, seed: int) -> Sy
         raise ValueError(f"rank must be in [1, min(m, n)], got {r}")
     if not (0.0 < sr <= 1.0):
         raise ValueError(f"sampling ratio must be in (0, 1], got {sr}")
-    if nf < 0:
-        raise ValueError(f"noise factor must be >= 0, got {nf}")
+    if not 0.0 <= nf < math.inf:
+        raise ValueError(f"noise factor must be finite and >= 0, got {nf}")
     factor_seed, mask_seed, noise_seed = spawn_seeds(seed, 3)
     rng = philox_rng(factor_seed)
     u = rng.standard_normal((m, r))
@@ -302,22 +303,17 @@ class GrayImage:
         return self.pixels.shape[0]
 
 
+# a '#' comment runs to the end of its line, and starts one only where a
+# token would
+_PGM_TOKEN = re.compile(rb"#[^\r\n]*|(\S+)")
+
+
 def _pgm_tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping '#' comments."""
-    pos = 0
-    while True:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-            continue
-        if pos >= len(data):
-            return
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        yield data[start:pos].decode("ascii", errors="replace"), pos
+    """Yield (token, end offset) for each whitespace-separated header token,
+    skipping '#' comments."""
+    for match in _PGM_TOKEN.finditer(data):
+        if match.group(1) is not None:
+            yield match.group(1).decode("ascii", errors="replace"), match.end()
 
 
 def read_pgm(stream) -> GrayImage:
@@ -369,6 +365,8 @@ def corrupt_image(img: GrayImage, fraction: float, noise_sigma: float, seed: int
     """
     if not (0.0 <= fraction < 1.0):
         raise ValueError(f"corruption fraction must be in [0, 1), got {fraction}")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
     h, w = img.height, img.width
     mask_seed, noise_seed = spawn_seeds(seed, 2)
     mask = np.zeros((h, w), dtype=bool)

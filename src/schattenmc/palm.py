@@ -76,7 +76,7 @@ class InitStrategy(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver inputs: penalty choice, lam >= 0, rank bound d, stopping rule.
+    """Solver inputs: penalty choice, finite lam >= 0, rank bound d, stopping rule.
 
     ``epsilon`` is an absolute Frobenius threshold on factor changes.
     """
@@ -90,10 +90,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        # written so that nan fails too
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.max_iters < 1:

@@ -4,25 +4,23 @@ The coordinate layout is parallel (row, col, value) arrays sorted
 lexicographically by (row, col).  The kernels are the masked residual
 P_omega(U V^T - D) and the products S @ X and S^T @ X of the matrix S that
 holds given values on the observed pattern (the gradients R V and R^T U).
-Each picks one of two paths from the shape, |omega| and the column count d
-of the factor or block it multiplies:
+Each picks one of two paths from the shape and |omega| alone:
 
-* dense, when m * n <= max(3 |omega|, min(|omega| d, 2**16)): the values
-  are scattered into an m x n array and the products are BLAS matrix
-  products (the residual reads the observed entries of U V^T);
-* sparse, otherwise: for each of the d columns of X, one gather of a
-  contiguous column and one ``np.bincount`` scatter-accumulate (the
-  residual repeats each row of U over that row's entries, which the
-  row-sorted layout allows, and gathers the rows of V).
+* dense, when m * n <= max(3 |omega|, 2**16): the values are scattered
+  into an m x n array and the products are BLAS matrix products (the
+  residual reads the observed entries of U V^T);
+* sparse, otherwise: for each of the d columns of the factor or block
+  multiplied, one gather of a contiguous column and one ``np.bincount``
+  scatter-accumulate (the residual repeats each row of U over that row's
+  entries, which the row-sorted layout allows, and gathers the rows of V).
 
 The first term takes the dense path at density 1/3 and above, where the
 array's 8 m n bytes are no more than the 24 bytes per entry the coordinate
 arrays hold and m n d stays within 3 |omega| d multiply-adds.  The second
-term takes it on small problems whose sparse path would gather at least as
-many values (|omega| d) as the array has cells; d enters because the
-sparse path pays per column while the scatter into the array is paid once.
-Its cap of 2**16 cells keeps that array within 512 KB, so below density 1/3
-no large allocation appears.  Either way the work is O(|omega| d).
+takes it on every set of at most 2**16 cells, where the sparse path's
+fixed cost per column mostly outweighs its saving (the measured exception
+is d = 1 below density 1/3); the cap keeps the array within 512 KB, so
+below density 1/3 no large allocation appears.
 """
 
 from __future__ import annotations
@@ -139,9 +137,9 @@ def _scatter(obs: SparseObservations, values) -> np.ndarray:
 _DENSE_CELLS = 2**16
 
 
-def _dense_path(obs: SparseObservations, d: int) -> bool:
-    """Path rule of the kernels for d-column factors (see the module docstring)."""
-    return obs.m * obs.n <= max(3 * obs.nnz, min(obs.nnz * d, _DENSE_CELLS))
+def _dense_path(obs: SparseObservations) -> bool:
+    """Path rule of the kernels (see the module docstring)."""
+    return obs.m * obs.n <= max(3 * obs.nnz, _DENSE_CELLS)
 
 
 def masked_residual(u, v, obs: SparseObservations) -> SparseResidual:
@@ -149,7 +147,7 @@ def masked_residual(u, v, obs: SparseObservations) -> SparseResidual:
     global _madd_count
     u = _check_factor(u, obs.m, None, "u")
     v = _check_factor(v, obs.n, u.shape[1], "v")
-    if _dense_path(obs, u.shape[1]):
+    if _dense_path(obs):
         # at d = 1, `@` runs numpy's own loop and np.dot stays on BLAS; each
         # entry is one product either way, so both give the same bits
         product = np.dot if u.shape[1] == 1 else np.matmul
@@ -173,14 +171,14 @@ def _scatter_columns(idx, other_idx, values, x, rows):
 
 def sp_dot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S @ x for the sparse matrix S with `values` on the obs pattern; x is n x d."""
-    if _dense_path(obs, x.shape[1]):
+    if _dense_path(obs):
         return _scatter(obs, values) @ x
     return _scatter_columns(obs.row_idx, obs.col_idx, values, x, obs.m)
 
 
 def sp_tdot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S^T @ x; x is m x d, result n x d."""
-    if _dense_path(obs, x.shape[1]):
+    if _dense_path(obs):
         return _scatter(obs, values).T @ x
     return _scatter_columns(obs.col_idx, obs.row_idx, values, x, obs.n)
 

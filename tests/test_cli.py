@@ -339,3 +339,27 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--epsilon", "nan"],
+        ["synth", "--nf", "nan"],
+        ["synth", "--lambda", "inf"],
+        ["synth", "--lambda", "nan"],
+        ["image", "--noise-sigma", "nan"],
+    ],
+    ids=["epsilon-nan", "nf-nan", "lambda-inf", "lambda-nan", "noise-sigma-nan"],
+)
+def test_non_finite_numbers_usage_error(tmp_path, argv):
+    if argv[0] == "image":
+        image = tmp_path / "input.pgm"
+        with open(image, "wb") as fh:
+            write_pgm(GrayImage(np.full((8, 8), 100, dtype=np.uint8)), fh)
+        argv = [*argv, "--input", str(image)]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--max-iters", "5", "--out", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()

@@ -89,6 +89,9 @@ class TestGenSynthetic:
             gen_synthetic(5, 5, 2, 0.0, 0.0, 0)
         with pytest.raises(ValueError):
             gen_synthetic(5, 5, 2, -0.1, 0.5, 0)
+        for nf in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                gen_synthetic(5, 5, 2, nf, 0.5, 0)
 
 
 class TestParseMovielens:
@@ -444,6 +447,12 @@ class TestPgm:
         raw = b"P5\n# made by hand\n2 1\n# another note\n255\n\x05\x09"
         img = read_pgm(io.BytesIO(raw))
         assert img.pixels.tolist() == [[5, 9]]
+        # tab, vertical tab and form feed separate tokens; '\r' ends a comment
+        raw = b"P5\t2\x0b1 # note\r\x0c255\n\x05\x09"
+        assert read_pgm(io.BytesIO(raw)).pixels.tolist() == [[5, 9]]
+        # a '#' inside a token is part of it
+        with pytest.raises(DataFormatError, match="'P5#x'"):
+            read_pgm(io.BytesIO(b"P5#x 2 1 255\n\x05\x09"))
 
     def test_round_trip_random_images(self):
         rng = philox(99)
@@ -502,6 +511,12 @@ class TestCorruptImage:
             corrupt_image(img, 1.0, 10.0, 0)
         with pytest.raises(ValueError):
             corrupt_image(img, -0.1, 10.0, 0)
+
+    def test_noise_sigma_validation(self):
+        img = self.make_image(6)
+        for sigma in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="noise sigma"):
+                corrupt_image(img, 0.5, sigma, 0)
 
 
 class TestGrayImage:

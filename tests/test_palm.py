@@ -415,6 +415,10 @@ class TestConfigAndInit:
             SolverConfig(reg=Regularizer.FN, lam=1.0, d=2, epsilon=0.0)
         with pytest.raises(ValueError):
             SolverConfig(reg=Regularizer.FN, lam=1.0, d=2, max_iters=0)
+        non_finite = [(math.inf, 1e-4), (math.nan, 1e-4), (1.0, math.inf), (1.0, math.nan)]
+        for lam, epsilon in non_finite:
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(reg=Regularizer.FN, lam=lam, d=2, epsilon=epsilon)
 
     def test_spectral_init_shapes_and_determinism(self):
         inst = gen_synthetic(20, 15, 2, 0.0, 0.5, 81)

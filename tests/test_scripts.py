@@ -1,9 +1,15 @@
 """Smoke runs of the experiment scripts: each exits 0 and prints its rows."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from schattenmc import sparse_obs
+from schattenmc.sparse_obs import SparseObservations, sample_mask
 
 from conftest import philox
 
@@ -42,3 +48,21 @@ def test_run_synthetic_benchmark():
     )
     rows = [line for line in out if line.split()[:1] in (["20%"], ["30%"])]
     assert len(rows) == 8  # 2 sampling ratios x 2 noise factors x 2 penalties
+
+
+def test_kernel_path_grid_forces_each_path():
+    # the script swaps in its own sparse_obs._dense_path, so it must follow
+    # that private function's signature and put the rule back afterwards
+    spec = importlib.util.spec_from_file_location(
+        "kernel_path_grid", ROOT / "scripts" / "kernel_path_grid.py"
+    )
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    rows, cols = sample_mask(6, 5, 0.5, 1)
+    obs = SparseObservations(6, 5, rows, cols, np.ones(rows.size))
+    rng = philox(4)
+    u, v = rng.standard_normal((6, 2)), rng.standard_normal((5, 2))
+    rule = sparse_obs._dense_path
+    for dense in (True, False):
+        assert grid.kernel_cost_us(obs, u, v, dense) > 0
+        assert sparse_obs._dense_path is rule

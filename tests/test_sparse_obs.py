@@ -257,7 +257,7 @@ def _instance(m, n, lin, d, seed):
 
 def _check_kernels(obs, u, v, dense):
     """Kernels against a dense oracle; bit-exact against the reference on the sparse path."""
-    assert sparse_obs._dense_path(obs, u.shape[1]) == dense
+    assert sparse_obs._dense_path(obs) == dense
     mask = np.zeros((obs.m, obs.n))
     mask[obs.row_idx, obs.col_idx] = 1.0
     r_dense = (u @ v.T - obs.dense()) * mask
@@ -282,22 +282,27 @@ def _check_kernels(obs, u, v, dense):
         assert np.array_equal(r.values, pred - obs.values)
 
 
-def _min_dense_nnz(m, n, d):
-    # the kernels take the dense path exactly when
-    # m * n <= max(3 * nnz, min(nnz * d, 2**16)); this is the least such nnz
+def _min_dense_nnz(m, n):
+    # the kernels take the dense path exactly when m * n <= max(3 * nnz, 2**16);
+    # this is the least such nnz
     total = m * n
-    per_entry = 3 if total > 2**16 else max(3, d)
-    return -(-total // per_entry)
+    return 0 if total <= 2**16 else -(-total // 3)
 
 
 @st.composite
 def kernel_instances(draw, dense):
-    # small shapes, where d decides the path, and shapes around the 2**16 cap
-    dims = st.integers(min_value=1, max_value=40) | st.integers(min_value=250, max_value=300)
-    m, n = draw(dims), draw(dims)
+    if dense:
+        # small shapes, always dense, and shapes around the 2**16 cap
+        dims = st.integers(min_value=1, max_value=40) | st.integers(min_value=250, max_value=300)
+        m, n = draw(dims), draw(dims)
+    else:
+        # only sets of more than 2**16 cells reach the sparse path: from
+        # 1 x (2**16 + 1) to 300 x 219
+        m = draw(st.integers(min_value=1, max_value=300))
+        n = draw(st.integers(min_value=2**16 // m + 1, max_value=2**16 // m + 300))
     d = draw(st.integers(min_value=1, max_value=12))
     total = m * n
-    cut = _min_dense_nnz(m, n, d)
+    cut = _min_dense_nnz(m, n)
     lo, hi = (cut, total) if dense else (0, cut - 1)
     nnz = draw(st.integers(min_value=lo, max_value=hi))
     seed = draw(st.integers(min_value=0, max_value=2**31))
@@ -320,18 +325,27 @@ class TestKernelPaths:
         "m, n, lin, d, dense",
         [
             (1, 1, [0], 1, True),  # nnz = 1, d = 1
-            (2, 2, [3], 3, False),  # nnz = 1, below the threshold
-            (4, 1, [], 1, False),  # no observations at all
+            (2, 2, [3], 3, True),  # nnz = 1; at most 2**16 cells is dense at any density
+            (4, 1, [], 1, True),  # no observations at all
             (3, 4, [0, 1, 2, 3], 2, True),  # m * n == 3 * nnz; rows 1, 2 empty
-            (3, 4, [0, 1, 2], 1, False),  # one entry short of the threshold
-            (6, 5, [0, 5, 10, 15, 20, 25], 2, False),  # only column 0 observed
+            (3, 4, [0, 1, 2], 1, True),  # below density 1/3
+            (6, 5, [0, 5, 10, 15, 20, 25], 2, True),  # only column 0 observed
             (5, 6, [0, 1, 2, 3, 4, 5, 24, 25, 26, 27], 4, True),  # empty middle rows
             (10, 10, range(0, 100, 5), 5, True),  # m * n == nnz * d, 3 * nnz < m * n
-            (10, 10, range(0, 95, 5), 5, False),  # one entry fewer
-            (10, 10, range(33), 1, False),  # d = 1 just below density 1/3
-            (256, 256, range(0, 2**16, 4), 4, True),  # nnz * d == m * n == 2**16
+            (10, 10, range(0, 95, 5), 5, True),  # one entry fewer: d does not decide
+            (10, 10, range(33), 1, True),  # d = 1 just below density 1/3
+            (256, 256, range(0, 2**16, 4), 4, True),  # m * n == 2**16, density 1/4
             (1, 2**16 + 1, range(0, 2**16 + 1, 4), 4, False),  # nnz * d >= m * n above the cap
             (100, 100, range(0, 10**4, 5), 6, True),  # the synthetic protocol: 2000 entries, d = 6
+            # sparse corners, all above 2**16 cells
+            (300, 250, [], 3, False),  # no observations at all
+            (300, 250, [74_999], 3, False),  # nnz = 1, the last cell
+            (300, 250, range(24_999), 4, False),  # one entry short of density 1/3
+            (300, 250, range(25_000), 4, True),  # m * n == 3 * nnz
+            (300, 250, range(0, 75_000, 250), 2, False),  # only column 0 observed
+            # rows 0-99 and 200-299 and every odd column empty
+            (300, 250, [r * 250 + c for r in range(100, 200) for c in range(0, 250, 2)], 5, False),
+            (2**16 + 1, 1, range(0, 2**16 + 1, 4), 1, False),  # a single column, d = 1
         ],
     )
     def test_corner_cases(self, m, n, lin, d, dense):
@@ -339,7 +353,7 @@ class TestKernelPaths:
 
     def test_dense_residual_at_d1_is_the_outer_product(self):
         obs, u, v = _instance(100, 100, range(0, 10**4, 2), 1, 7)
-        assert sparse_obs._dense_path(obs, 1)
+        assert sparse_obs._dense_path(obs)
         r = masked_residual(u, v, obs).values
         outer = np.outer(u[:, 0], v[:, 0])[obs.row_idx, obs.col_idx]
         assert np.array_equal(r, outer - obs.values)
@@ -349,3 +363,16 @@ class TestKernelPaths:
         u[::3] = -0.0
         got = masked_residual(u, v, zero).values
         assert got.tobytes() == (u @ v.T)[zero.row_idx, zero.col_idx].tobytes()
+
+    @pytest.mark.parametrize(
+        "m, n, nnz, dense",
+        [
+            (100, 100, 2000, True),  # synth-protocol
+            (256, 256, 32_768, True),  # image-256: half the pixels kept
+            (6040, 3706, 500_000, False),  # ratings-1m: the training half
+        ],
+    )
+    def test_benchmark_shapes_keep_their_path(self, m, n, nnz, dense):
+        lin = np.arange(nnz) * (m * n // nnz)
+        obs = SparseObservations(m, n, lin // n, lin % n, np.zeros(nnz))
+        assert sparse_obs._dense_path(obs) == dense
