@@ -344,6 +344,15 @@ def _validate(parser, args) -> None:
             parser.error(f"--corrupt-frac must be in [0, 1), got {args.corrupt_frac}")
         if not 0.0 <= args.noise_sigma < math.inf:
             parser.error(f"--noise-sigma must be finite and >= 0, got {args.noise_sigma}")
+    elif args.command == "verify":
+        if not 0.0 <= args.tolerance_scale < math.inf:
+            parser.error(
+                f"--tolerance-scale must be finite and >= 0, got {args.tolerance_scale}"
+            )
+    # every command seeds through np.random.SeedSequence, which takes no
+    # negative integer
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     # the same checks as SolverConfig's, made before any output is written
     if not 0.0 <= getattr(args, "lam", 0.0) < math.inf:
         parser.error(f"--lambda must be finite and >= 0, got {args.lam}")

@@ -7,6 +7,11 @@ Thin SVDs and singular values go straight to LAPACK through
 values as a call on it alone.  The spectral norm is the top singular value
 of that route.  A LAPACK convergence failure surfaces as ``NumericalError``.
 
+The public functions check their input (2-D or a stack, finite).  The
+unchecked ``_svd``, ``_sigma_max`` and ``_frobenius_norm`` serve callers
+that hold float64 matrices known to be finite, such as the solver's
+iterates.
+
 Derived scalar norms and rank decisions trim singular values below
 ``SIGMA_TRIM_REL * sigma_1`` of their own matrix.
 """
@@ -103,7 +108,11 @@ def singular_values(a, trim: bool = True) -> np.ndarray:
 def sigma_max(a) -> float:
     """Spectral norm: the largest of LAPACK's singular values (exact to
     machine precision even for clustered spectra); 0.0 for an empty matrix."""
-    s = _svd(as_matrix(a), compute_uv=False)
+    return _sigma_max(as_matrix(a))
+
+
+def _sigma_max(a: np.ndarray) -> float:
+    s = _svd(a, compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
 
@@ -115,5 +124,8 @@ def nuclear_norm(a):
 
 
 def frobenius_norm(a) -> float:
-    a = as_matrix(a)
+    return _frobenius_norm(as_matrix(a))
+
+
+def _frobenius_norm(a: np.ndarray) -> float:
     return math.sqrt(float(np.sum(a * a)))

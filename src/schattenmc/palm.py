@@ -13,6 +13,12 @@ the opposite factor), then applies the closed-form proximal map: singular
 value shrinkage for nuclear terms, a plain rescaling for the squared
 Frobenius term.  The V-step gradient is evaluated with the freshly updated
 U.  Stopping: max(||U_{k+1}-U_k||_F, ||V_{k+1}-V_k||_F) < epsilon.
+
+``step`` checks its factors once on entry and ``solve`` starts from factors
+it made; from there the iteration calls the unchecked kernels of
+``sparse_obs`` and ``linalg``.  Two checks stay in the loop: each step
+block is tested for overflow (``NumericalError``), and a LAPACK convergence
+failure is a ``NumericalError`` too.
 """
 
 from __future__ import annotations
@@ -25,20 +31,22 @@ import numpy as np
 
 from .linalg import (
     NumericalError,
+    _frobenius_norm,
+    _sigma_max,
+    _svd,
     as_matrix,
     frobenius_norm,
     nuclear_norm,
     sigma_max,
-    singular_values,
     thin_svd,
 )
 from .quasinorm import FactorPair, Regularizer
 from .rng import philox_rng, spawn_seeds
 from .sparse_obs import (
     SparseObservations,
-    SparseResidual,
+    _check_pair,
+    _residual,
     grad_u,
-    grad_v,
     masked_residual,
     sp_dot,
     sp_tdot,
@@ -146,16 +154,19 @@ def svt_prox(a, tau: float) -> np.ndarray:
     a = as_matrix(a)
     if tau == 0.0:
         return a.copy()
+    if 0 in a.shape:
+        raise ValueError("svt_prox requires at least one row and one column")
     return _svt(a, tau)[0]
 
 
-def _svt(a, tau):
-    """Shrinkage of ``a`` and the singular values of the result."""
+def _svt(a: np.ndarray, tau: float):
+    """Shrinkage of the finite float64 matrix ``a`` (unchecked) and the
+    singular values of the result; tau = 0 returns ``a`` itself."""
     if tau == 0.0:
-        return a.copy(), singular_values(a, trim=False)
-    f = thin_svd(a)
-    shrunk = np.maximum(f.singular_values - tau, 0.0)
-    return (f.left * shrunk) @ f.right.T, shrunk
+        return a, _svd(a, compute_uv=False)
+    left, sigma, right_t = _svd(a, compute_uv=True)
+    shrunk = np.maximum(sigma - tau, 0.0)
+    return (left * shrunk) @ right_t, shrunk
 
 
 def frob_prox(b, l: float, lam: float) -> np.ndarray:
@@ -164,7 +175,10 @@ def frob_prox(b, l: float, lam: float) -> np.ndarray:
         raise ValueError(f"l must be positive, got {l}")
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    b = as_matrix(b)
+    return _frob_rescale(as_matrix(b), l, lam)
+
+
+def _frob_rescale(b: np.ndarray, l: float, lam: float) -> np.ndarray:
     return (l / (l + 2.0 * lam / 3.0)) * b
 
 
@@ -202,34 +216,33 @@ def objective(fp: FactorPair, obs: SparseObservations, config: SolverConfig) -> 
     return _reg_term(fp.u, fp.v, config) + 0.5 * r.sq_norm()
 
 
-def _step_core(u, v, sig_v: float, r: SparseResidual, obs, config: SolverConfig):
-    """One alternation from (u, v), given sig_v = ||v||_2 and the residual r
-    at (u, v).
+def _step_core(u, v, sig_v: float, r: np.ndarray, obs, config: SolverConfig):
+    """One alternation from the checked factors (u, v), given
+    sig_v = ||v||_2 and the residual values r at (u, v).
 
     Returns (u1, v1, sig_v1, l_g, l_h, r_next, reg_val): sig_v1 = ||v1||_2,
-    r_next the residual at (u1, v1), and reg_val the penalty there.  The
-    shrunk spectra are the new factors' spectra, so the next Lipschitz
+    r_next the residual values at (u1, v1), and reg_val the penalty there.
+    The shrunk spectra are the new factors' spectra, so the next Lipschitz
     constants and the penalty cost no extra SVDs.
     """
     lam = config.lam
     coeff = config.reg.shrink_coeff(lam)
 
     l_g = max(sig_v**2, LIPSCHITZ_FLOOR)
-    u1, su = _svt(_finite(u - grad_u(r, v) / l_g, "U step"), coeff / l_g)
+    u1, su = _svt(_finite(u - sp_dot(obs, r, v) / l_g, "U step"), coeff / l_g)
     l_h = max(float(su[0]) ** 2, LIPSCHITZ_FLOOR)
-    r_mid = masked_residual(u1, v, obs)
-    b_v = _finite(v - grad_v(r_mid, u1) / l_h, "V step")
+    b_v = _finite(v - sp_tdot(obs, _residual(u1, v, obs), u1) / l_h, "V step")
     if config.reg is Regularizer.FN:
-        v1 = frob_prox(b_v, l_h, lam)
-        sig_v1 = sigma_max(v1)
-        v_term = frobenius_norm(v1) ** 2
+        v1 = _frob_rescale(b_v, l_h, lam)
+        sig_v1 = _sigma_max(v1)
+        v_term = _frobenius_norm(v1) ** 2
     else:
         v1, sv = _svt(b_v, coeff / l_h)
         sig_v1 = float(sv[0])
         v_term = float(np.sum(sv))
     reg_val = config.reg.penalty(lam, float(np.sum(su)), v_term)
 
-    r_next = masked_residual(u1, v1, obs)
+    r_next = _residual(u1, v1, obs)
     return u1, v1, sig_v1, l_g, l_h, r_next, reg_val
 
 
@@ -238,8 +251,9 @@ def step(fp: FactorPair, obs: SparseObservations, config: SolverConfig):
 
     Lipschitz constants are recomputed fresh from the current iterate.
     """
-    r = masked_residual(fp.u, fp.v, obs)
-    u1, v1, _, l_g, l_h, _, _ = _step_core(fp.u, fp.v, sigma_max(fp.v), r, obs, config)
+    u, v = _check_pair(fp.u, fp.v, obs)
+    r = _residual(u, v, obs)
+    u1, v1, _, l_g, l_h, _, _ = _step_core(u, v, _sigma_max(v), r, obs, config)
     return FactorPair(u1, v1), l_g, l_h
 
 
@@ -262,14 +276,14 @@ def solve(obs: SparseObservations, config: SolverConfig) -> SolveReport:
     try:
         fp0 = initial_factors(obs, config)
         u, v = fp0.u, fp0.v
-        r = masked_residual(u, v, obs)
-        trace.append(_reg_term(u, v, config) + 0.5 * r.sq_norm())
-        sig_v = sigma_max(v)
+        r = _residual(u, v, obs)
+        trace.append(_reg_term(u, v, config) + 0.5 * float(r @ r))
+        sig_v = _sigma_max(v)
         for k in range(config.max_iters):
             u1, v1, sig_v, l_g, l_h, r_next, reg_val = _step_core(
                 u, v, sig_v, r, obs, config
             )
-            trace.append(reg_val + 0.5 * r_next.sq_norm())
+            trace.append(reg_val + 0.5 * float(r_next @ r_next))
             lips.append((l_g, l_h))
             du = _delta(u1, u)
             dv = _delta(v1, v)

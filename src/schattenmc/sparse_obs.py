@@ -8,7 +8,9 @@ Each picks one of two paths from the shape and |omega| alone:
 
 * dense, when m * n <= max(3 |omega|, 2**16): the values are scattered
   into an m x n array and the products are BLAS matrix products (the
-  residual reads the observed entries of U V^T);
+  residual reads the observed entries of U V^T).  Both the scatter and the
+  residual's gather address the array by the flat index row * n + col,
+  computed on first use, so sets on the sparse path never hold it;
 * sparse, otherwise: for each of the d columns of the factor or block
   multiplied, one gather of a contiguous column and one ``np.bincount``
   scatter-accumulate (the residual repeats each row of U over that row's
@@ -21,10 +23,16 @@ takes it on every set of at most 2**16 cells, where the sparse path's
 fixed cost per column mostly outweighs its saving (the measured exception
 is d = 1 below density 1/3); the cap keeps the array within 512 KB, so
 below density 1/3 no large allocation appears.
+
+The public kernels check their factor arguments (2-D, finite, shapes
+matching the set).  The solver checks its inputs once and then calls the
+unchecked ``_residual``, ``sp_dot`` and ``sp_tdot`` on iterates it made
+itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -39,6 +47,9 @@ _madd_count = 0
 
 
 def kernel_madd_count() -> int:
+    """Multiply-adds of public ``masked_residual`` calls since the last reset:
+    nnz * d per call.  The solver's own residuals (``_residual``) are not
+    counted."""
     return _madd_count
 
 
@@ -95,6 +106,11 @@ class SparseObservations:
     def nnz(self) -> int:
         return int(self.row_idx.size)
 
+    @functools.cached_property
+    def flat_idx(self) -> np.ndarray:
+        """Row-major positions row * n + col of the entries in an m x n array."""
+        return self.row_idx * self.n + self.col_idx
+
     def dense(self) -> np.ndarray:
         """Materialize P_omega(D) (zeros off the observed set)."""
         return _scatter(self, self.values)
@@ -126,11 +142,17 @@ def _check_factor(x, rows, d_expected, name):
     return x
 
 
+def _check_pair(u, v, obs: SparseObservations):
+    """Factors u (m x d) and v (n x d) of ``obs``, checked and as float64."""
+    u = _check_factor(u, obs.m, None, "u")
+    return u, _check_factor(v, obs.n, u.shape[1], "v")
+
+
 def _scatter(obs: SparseObservations, values) -> np.ndarray:
     """The m x n array holding `values` on the obs pattern, zeros elsewhere."""
-    out = np.zeros((obs.m, obs.n))
-    out[obs.row_idx, obs.col_idx] = values
-    return out
+    out = np.zeros(obs.m * obs.n)
+    out[obs.flat_idx] = values
+    return out.reshape(obs.m, obs.n)
 
 
 # cells of the largest m x n buffer (512 KB) the rule adds below density 1/3
@@ -142,21 +164,26 @@ def _dense_path(obs: SparseObservations) -> bool:
     return obs.m * obs.n <= max(3 * obs.nnz, _DENSE_CELLS)
 
 
-def masked_residual(u, v, obs: SparseObservations) -> SparseResidual:
-    """P_omega(U V^T) - P_omega(D), materialized on the observed set only."""
-    global _madd_count
-    u = _check_factor(u, obs.m, None, "u")
-    v = _check_factor(v, obs.n, u.shape[1], "v")
+def _residual(u: np.ndarray, v: np.ndarray, obs: SparseObservations) -> np.ndarray:
+    """Values of U V^T - D on the observed set, for checked float64 factors."""
     if _dense_path(obs):
         # at d = 1, `@` runs numpy's own loop and np.dot stays on BLAS; each
         # entry is one product either way, so both give the same bits
         product = np.dot if u.shape[1] == 1 else np.matmul
-        pred = product(u, v.T)[obs.row_idx, obs.col_idx]
+        pred = product(u, v.T).ravel().take(obs.flat_idx)
     else:
         # row-sorted entries: repeating each row of u is the row gather
         pred = np.einsum("ij,ij->i", np.repeat(u, obs.row_counts, axis=0), v[obs.col_idx])
+    return pred - obs.values
+
+
+def masked_residual(u, v, obs: SparseObservations) -> SparseResidual:
+    """P_omega(U V^T) - P_omega(D), materialized on the observed set only."""
+    global _madd_count
+    u, v = _check_pair(u, v, obs)
+    values = _residual(u, v, obs)
     _madd_count += obs.nnz * u.shape[1]
-    return SparseResidual(obs, pred - obs.values)
+    return SparseResidual(obs, values)
 
 
 def _scatter_columns(idx, other_idx, values, x, rows):

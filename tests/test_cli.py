@@ -363,3 +363,33 @@ def test_non_finite_numbers_usage_error(tmp_path, argv):
         main([*argv, "--max-iters", "5", "--out", str(out)])
     assert err.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "complete", "image", "verify"])
+def test_negative_seed_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--seed", "-1", "--out", str(out)]
+    if command == "complete":
+        ratings = tmp_path / "ratings.dat"
+        ratings.write_text(ML_LINES)
+        argv += ["--input", str(ratings)]
+    elif command == "image":
+        image = tmp_path / "input.pgm"
+        with open(image, "wb") as fh:
+            write_pgm(GrayImage(np.full((8, 8), 100, dtype=np.uint8)), fh)
+        argv += ["--input", str(image)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "-1", "inf"])
+def test_tolerance_scale_usage_error(tmp_path, capsys, scale):
+    out = tmp_path / "verify.json"
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--trials", "2", "--tolerance-scale", scale, "--out", str(out)])
+    assert err.value.code == 2
+    assert "--tolerance-scale" in capsys.readouterr().err
+    assert not out.exists()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schattenmc import palm
+from schattenmc import palm, sparse_obs
 from schattenmc.data import gen_synthetic
 from schattenmc.linalg import NumericalError, frobenius_norm, nuclear_norm
 from schattenmc.metrics import rse
@@ -125,6 +125,46 @@ class TestLipschitz:
             assert lhs <= rhs * (1 + 1e-10)
 
 
+class TestBoundaryChecks:
+    """The public proximal maps and ``step`` reject non-finite input and
+    mismatched shapes with ValueError."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_prox_maps_reject_non_finite(self, bad):
+        a = philox(16).standard_normal((5, 3))
+        a[2, 1] = bad
+        for tau in (0.0, 0.5):
+            with pytest.raises(ValueError, match="non-finite"):
+                svt_prox(a, tau)
+        with pytest.raises(ValueError, match="non-finite"):
+            frob_prox(a, 1.0, 1.0)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 5, 3), (0, 3)])
+    def test_prox_maps_reject_bad_shapes(self, shape):
+        a = np.ones(shape)
+        with pytest.raises(ValueError):
+            svt_prox(a, 0.5)
+        if len(shape) != 2:
+            with pytest.raises(ValueError):
+                frob_prox(a, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["u", "v"])
+    def test_step_rejects_non_finite(self, which, bad):
+        fp, obs, _ = small_instance(17)
+        # FactorPair checks on construction, so corrupt the array afterwards
+        getattr(fp, which)[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            step(fp, obs, SolverConfig(reg=Regularizer.BIN, lam=1.0, d=2))
+
+    def test_step_rejects_shape_mismatch(self):
+        fp, obs, _ = small_instance(18)
+        cfg = SolverConfig(reg=Regularizer.FN, lam=1.0, d=2)
+        for pair in (FactorPair(fp.u[:-1], fp.v), FactorPair(fp.u, fp.v[:-1])):
+            with pytest.raises(ValueError, match="rows"):
+                step(pair, obs, cfg)
+
+
 class TestObjective:
     def test_zero_factors(self):
         fp, obs, _ = small_instance(7)
@@ -204,6 +244,85 @@ class TestStep:
         _, l_g, l_h = step(fp, obs, cfg)
         assert l_g == pytest.approx(lipschitz_g(fp.v))
         assert l_g > 0 and l_h > 0
+
+
+def dense_palm(u, v, dense, mask, reg, lam, iters):
+    """The paper's FN / BiN alternation on full m x n arrays with a 0/1 mask,
+    written without the package's kernels: (U, V, l_g, l_h, objective) after
+    each of ``iters`` steps from (u, v)."""
+
+    def shrink(a, tau):
+        left, s, right_t = np.linalg.svd(a, full_matrices=False)
+        return (left * np.maximum(s - tau, 0.0)) @ right_t
+
+    def nuclear(a):
+        return np.linalg.svd(a, compute_uv=False).sum()
+
+    fn = reg is Regularizer.FN
+    coeff = 2.0 * lam / 3.0 if fn else lam / 2.0
+    out = []
+    for _ in range(iters):
+        l_g = max(np.linalg.norm(v, 2) ** 2, palm.LIPSCHITZ_FLOOR)
+        u = shrink(u - (mask * (u @ v.T - dense)) @ v / l_g, coeff / l_g)
+        l_h = max(np.linalg.norm(u, 2) ** 2, palm.LIPSCHITZ_FLOOR)
+        b = v - (mask * (u @ v.T - dense)).T @ u / l_h
+        if fn:
+            v = l_h / (l_h + 2.0 * lam / 3.0) * b
+            penalty = lam * (2.0 * nuclear(u) + np.sum(v * v)) / 3.0
+        else:
+            v = shrink(b, coeff / l_h)
+            penalty = lam * (nuclear(u) + nuclear(v)) / 2.0
+        loss = 0.5 * np.sum((mask * (u @ v.T - dense)) ** 2)
+        out.append((u, v, l_g, l_h, penalty + loss))
+    return out
+
+
+# (m, n, rank, data scale, d, sampling ratio, kernel path): at most 2**16
+# cells on the dense path, 257 x 256 = 65792 cells at density 0.1 on the
+# sparse one, and d above min(m, n) with data large enough that lam = 5
+# leaves U nonzero
+TRAJECTORY_CASES = {
+    "dense-30x20": (30, 20, 2, 1.0, 4, 0.5, True),
+    "sparse-257x256": (257, 256, 2, 1.0, 4, 0.1, False),
+    "dense-d-above-dims": (8, 6, 2, 4.0, 8, 0.7, True),
+}
+
+
+class TestReferenceTrajectory:
+    """Iterated ``step`` follows the dense reference PALM to 1e-10 relative."""
+
+    ITERS = 20
+    RTOL = 1e-10
+
+    def close(self, got, want):
+        assert np.linalg.norm(got - want) <= self.RTOL * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    @pytest.mark.parametrize("case", list(TRAJECTORY_CASES))
+    def test_step_matches_dense_reference(self, case, reg, lam):
+        m, n, rank, scale, d, sr, dense_path = TRAJECTORY_CASES[case]
+        rng = philox(31)
+        dense = scale * low_rank(rng, m, n, rank)
+        rows, cols = sample_mask(m, n, sr, 32)
+        # row 0, row m - 1 and column 1 are left unobserved
+        keep = (rows != 0) & (rows != m - 1) & (cols != 1)
+        rows, cols = rows[keep], cols[keep]
+        obs = SparseObservations(m, n, rows, cols, dense[rows, cols])
+        assert sparse_obs._dense_path(obs) is dense_path
+        mask = np.zeros((m, n))
+        mask[rows, cols] = 1.0
+        dense = dense * mask
+        fp = FactorPair(0.5 * rng.standard_normal((m, d)), 0.5 * rng.standard_normal((n, d)))
+        cfg = SolverConfig(reg=reg, lam=lam, d=d)
+        reference = dense_palm(fp.u, fp.v, dense, mask, reg, lam, self.ITERS)
+        for u, v, l_g, l_h, obj in reference:
+            fp, got_g, got_h = step(fp, obs, cfg)
+            self.close(fp.u, u)
+            self.close(fp.v, v)
+            assert got_g == pytest.approx(l_g, rel=self.RTOL)
+            assert got_h == pytest.approx(l_h, rel=self.RTOL)
+            assert objective(fp, obs, cfg) == pytest.approx(obj, rel=self.RTOL)
 
 
 class TestSolve:
@@ -324,6 +443,27 @@ class TestSolve:
         with pytest.raises(SolveFailure, match="non-finite") as exc_info:
             solve(big, SolverConfig(reg=reg, lam=1.0, d=3))
         assert exc_info.value.objective_trace.size == trace_len
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "reg, scale, block",
+        [
+            (Regularizer.FN, 1e200, "V step"),
+            (Regularizer.FN, 1e290, "U step"),
+            (Regularizer.BIN, 1e290, "U step"),
+            (Regularizer.FN, 1e305, "U step"),
+            (Regularizer.BIN, 1e305, "U step"),
+        ],
+    )
+    def test_overflow_in_the_loop_is_solve_failure(self, reg, scale, block):
+        # the loop trusts its own iterates; the step-block checks still turn
+        # an overflow into SolveFailure, not ValueError
+        o = gen_synthetic(30, 30, 3, 0.1, 0.5, 1).observations
+        big = SparseObservations(o.m, o.n, o.row_idx, o.col_idx, o.values * scale)
+        with pytest.raises(SolveFailure, match=f"{block} has non-finite") as exc_info:
+            solve(big, SolverConfig(reg=reg, lam=1.0, d=3, max_iters=50))
+        assert exc_info.value.objective_trace.size == 1
 
 
 @st.composite

@@ -91,6 +91,21 @@ class TestSparseObservations:
         obs = SparseObservations(2, 2, [0, 1], [1, 0], [3.0, 4.0])
         assert obs.dense().tolist() == [[0.0, 3.0], [4.0, 0.0]]
 
+    def test_flat_index_is_computed_on_first_use(self):
+        obs = SparseObservations(3, 4, [0, 1, 2], [3, 0, 2], [1.0, 2.0, 3.0])
+        assert "flat_idx" not in vars(obs)
+        assert obs.flat_idx.tolist() == [3, 4, 10]
+        assert "flat_idx" in vars(obs)
+
+    def test_sparse_path_holds_no_flat_index(self):
+        # 300 x 300 at 1% observed is above 2**16 cells and below density 1/3
+        u, v, _, obs = random_instance(9, m=300, n=300, d=3, sr=0.01)
+        assert not sparse_obs._dense_path(obs)
+        r = masked_residual(u, v, obs)
+        grad_u(r, v)
+        grad_v(r, u)
+        assert "flat_idx" not in vars(obs)
+
 
 class TestMaskedResidual:
     def test_zero_factors_give_negated_values(self):
@@ -127,6 +142,44 @@ class TestMaskedResidual:
         reset_kernel_madd_count()
         masked_residual(u, v, obs)
         assert kernel_madd_count() == obs.nnz * 2
+
+
+class TestBoundaryChecks:
+    """The public kernels reject non-finite factors and mismatched shapes."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["u", "v"])
+    def test_masked_residual_rejects_non_finite(self, which, bad):
+        u, v, _, obs = random_instance(21)
+        (u if which == "u" else v)[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            masked_residual(u, v, obs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gradients_reject_non_finite(self, bad):
+        u, v, _, obs = random_instance(22)
+        r = masked_residual(u, v, obs)
+        u[0, 1] = bad
+        v[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            grad_u(r, v)
+        with pytest.raises(ValueError, match="non-finite"):
+            grad_v(r, u)
+
+    def test_shape_mismatches(self):
+        u, v, _, obs = random_instance(23)
+        for bad_u, bad_v in [
+            (u[:-1], v), (u, v[:-1]), (u, v[:, :1]), (u[:, 0], v), (u, v[None])
+        ]:
+            with pytest.raises(ValueError):
+                masked_residual(bad_u, bad_v, obs)
+        r = masked_residual(u, v, obs)
+        for bad in (v[:-1], v[:, 0], v[None]):
+            with pytest.raises(ValueError):
+                grad_u(r, bad)
+        for bad in (u[:-1], u[:, 0], u[None]):
+            with pytest.raises(ValueError):
+                grad_v(r, bad)
 
 
 class TestGradients:
