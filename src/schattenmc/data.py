@@ -63,7 +63,7 @@ class DataFormatError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticInstance:
     """Ground truth Z = U V^T plus a noisy, subsampled observation set."""
 
@@ -93,7 +93,7 @@ def gen_synthetic(m: int, n: int, r: int, nf: float, sr: float, seed: int) -> Sy
     return SyntheticInstance(z, SparseObservations(m, n, rows, cols, vals))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatingSet(SparseObservations):
     """Parsed ratings: users are rows, items are columns, both remapped to
     dense zero-based indices.
@@ -200,17 +200,27 @@ def _colons_paired(text: str) -> bool:
     return ":::" not in text and text.count(":") == 2 * text.count("::")
 
 
+# a line of whitespace alone, which the line loop skips and np.loadtxt rejects;
+# a CR before the newline is the line ending, not its content
+_BLANK_LINE = re.compile(r"\n[^\S\r\n]+(?=\r?(?:\n|\Z))")
+
+
+def _c_reader_safe(text: str) -> bool:
+    """``_colons_paired`` on a run of whole lines, none of them whitespace-only."""
+    return _colons_paired(text) and not _BLANK_LINE.search("\n" + text)
+
+
 def _stream_colons_paired(stream) -> bool:
-    """``_colons_paired`` over the rest of the stream, read in blocks cut at
-    their last newline, so that no '::' is split across two blocks."""
+    """``_c_reader_safe`` over the rest of the stream, read in blocks cut at
+    their last newline, so that no '::' or line is split across two blocks."""
     tail = ""
     while block := stream.read(_SCAN_CHARS):
         block = tail + block
         cut = block.rfind("\n") + 1
-        if not _colons_paired(block[:cut]):
+        if not _c_reader_safe(block[:cut]):
             return False
         tail = block[cut:]
-    return _colons_paired(tail)
+    return _c_reader_safe(tail)
 
 
 def _read_table(stream, fmt, start):
@@ -218,7 +228,8 @@ def _read_table(stream, fmt, start):
     differ from the line loop's."""
     delimiter, usecols = _TABLE_COLUMNS[fmt]
     if fmt == "double-colon":
-        # ':' as the delimiter would read "1::2::3:4::5" as (1, 2, 3)
+        # ':' as the delimiter would read "1::2::3:4::5" as (1, 2, 3), and a
+        # whitespace-only line would fail the pass only once it is reached
         if not _stream_colons_paired(stream):
             return None
         stream.seek(start)
@@ -277,7 +288,7 @@ def split_train_test(rs: SparseObservations, train_fraction: float, seed: int):
     return subset(np.flatnonzero(is_train)), subset(np.flatnonzero(~is_train))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrayImage:
     """8-bit grayscale image; pixels shape (height, width), values 0..255."""
 
@@ -348,7 +359,7 @@ def write_pgm(img: GrayImage, stream) -> None:
     stream.write(img.pixels.tobytes())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corruption:
     """Corrupted-pixel mask plus the degraded image with noise in place."""
 

@@ -54,7 +54,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return as_stack(arr, name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThinSVD:
     """Thin singular value decomposition ``a == left @ diag(s) @ right.T``.
 

@@ -73,8 +73,10 @@ __all__ = [
 # first step away from a degenerate iterate stays finite.
 LIPSCHITZ_FLOOR = 1e-12
 
-# Subspace-iteration depth for the spectral initializer.
-_INIT_SUBSPACE_ITERS = 30
+# Power steps q and oversampling p of the spectral initializer's randomized
+# range finder: the block has k + p columns, of which k are kept.
+_INIT_POWER_ITERS = 4
+_INIT_OVERSAMPLE = 10
 
 
 class InitStrategy(Enum):
@@ -126,7 +128,7 @@ class OptimalityReport:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     factors: FactorPair
     objective_trace: np.ndarray
@@ -327,25 +329,33 @@ def optimality_residual(
 
 
 def _truncated_sparse_svd(obs: SparseObservations, values, k: int, rng):
-    """Leading-k singular triplets of the sparse matrix by subspace iteration.
+    """Leading-k singular triplets of the sparse matrix by a randomized range
+    finder (Halko, Martinsson & Tropp, SIAM Rev. 2011, Alg. 4.4).
 
-    Bases are orthonormalized by Householder QR, which also spans a
-    rank-deficient block with k orthonormal columns.
+    A Gaussian block of w = min(k + p, m, n) columns takes q power steps;
+    the thin SVD of the matrix times the final basis is then truncated to
+    its leading k triplets.  The p extra columns stand in for the spectral
+    gap at sigma_k that the data need not have.  Bases are orthonormalized
+    by Householder QR, which also spans a rank-deficient block with w
+    orthonormal columns.
     """
-    q = np.linalg.qr(rng.standard_normal((obs.n, k)))[0]
-    for _ in range(_INIT_SUBSPACE_ITERS):
+    w = min(k + _INIT_OVERSAMPLE, obs.m, obs.n)
+    q = np.linalg.qr(rng.standard_normal((obs.n, w)))[0]
+    for _ in range(_INIT_POWER_ITERS):
         left = np.linalg.qr(_finite(sp_dot(obs, values, q), "initializer block"))[0]
         q = np.linalg.qr(_finite(sp_tdot(obs, values, left), "initializer block"))[0]
     f = thin_svd(_finite(sp_dot(obs, values, q), "initializer block"))
-    return f.left, f.singular_values, q @ f.right
+    return f.left[:, :k], f.singular_values[:k], q @ f.right[:, :k]
 
 
 def initial_factors(obs: SparseObservations, config: SolverConfig) -> FactorPair:
     """Starting factors.
 
     SPECTRAL_SCALED splits the rank-d truncated SVD of the inverse-sampling
-    scaled observed matrix (m*n/|omega|) * P_omega(D), approximated by
-    seeded subspace iteration.  The split matches the penalty's optimal
+    scaled observed matrix (m*n/|omega|) * P_omega(D), approximated by a
+    seeded randomized range finder: a block of d + 10 columns (at most
+    min(m, n)) takes 4 power steps, and its thin SVD is truncated to the
+    leading min(d, m, n) triplets.  The split matches the penalty's optimal
     factorization (``Regularizer.split``); a mismatched split leaves a
     factor-rebalancing transient that the alternation crosses only at
     O(lam) speed.  GAUSSIAN_SCALED draws i.i.d. normal entries with

@@ -83,7 +83,7 @@ class Regularizer(Enum):
         return lam * (nuc_u + v_term) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorPair:
     """A factor iterate (u: m x d, v: n x d) sharing the rank bound d."""
 

@@ -58,7 +58,7 @@ def reset_kernel_madd_count() -> None:
     _madd_count = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseObservations:
     """Observed entries of an m x n matrix, sorted by (row, col)."""
 
@@ -69,7 +69,7 @@ class SparseObservations:
     values: np.ndarray
     # entries per row; entries are row-sorted, so row i owns the next
     # row_counts[i] of them
-    row_counts: np.ndarray = field(init=False, compare=False, repr=False)
+    row_counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("m", "n"):
@@ -116,7 +116,7 @@ class SparseObservations:
         return _scatter(self, self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseResidual:
     """Values of U V^T - D on the index set of a parent SparseObservations."""
 

@@ -362,6 +362,27 @@ class TestParsePaths:
         assert not data._stream_colons_paired(io.StringIO("12::34::5\n6::7:8::9"))
         assert not data._stream_colons_paired(io.StringIO("12::34::5\n6::7::::9"))
 
+    def test_whitespace_only_line_declines_before_the_c_reader(self, monkeypatch):
+        real, calls = np.loadtxt, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        text = random_ratings_text(11)
+        clean = outcome(text_stream(text), "double-colon")
+        assert clean[0] == "ok" and len(calls) == 1
+        for blank in (" \n", "\t \r\n", " "):
+            calls.clear()
+            assert outcome(text_stream(text + blank), "double-colon") == clean
+            assert not calls
+        calls.clear()
+        assert outcome(text_stream(" \n" + text), "double-colon") == clean
+        assert not calls
+        # an empty line, CR-LF ended or not, is one the C reader skips too
+        assert data._stream_colons_paired(io.StringIO("1::2::3\n\n4::5::6\r\n\r\n"))
+
     def test_csv_header_only_on_the_first_line(self):
         late = ("1,2,3\n" + CSV_HEADER + "\n", "\n" + CSV_HEADER + "\n1,2,3\n", "a,b\n1,2,3\n")
         for text in late:

@@ -325,6 +325,65 @@ class TestReferenceTrajectory:
             assert objective(fp, obs, cfg) == pytest.approx(obj, rel=self.RTOL)
 
 
+class TestStepMetamorphic:
+    """``step`` commutes, to rounding, with an orthogonal rotation of both
+    factors and with a permutation of the observed rows or columns."""
+
+    ITERS = 20
+    RTOL = 1e-11
+
+    def close(self, got, want):
+        assert np.linalg.norm(got - want) <= self.RTOL * np.linalg.norm(want)
+
+    def instance(self, case, reg, lam):
+        m, n, rank, scale, d, sr, dense_path = TRAJECTORY_CASES[case]
+        rng = philox(41)
+        dense = scale * low_rank(rng, m, n, rank)
+        rows, cols = sample_mask(m, n, sr, 42)
+        obs = SparseObservations(m, n, rows, cols, dense[rows, cols])
+        assert sparse_obs._dense_path(obs) is dense_path
+        fp = FactorPair(0.5 * rng.standard_normal((m, d)), 0.5 * rng.standard_normal((n, d)))
+        return obs, fp, SolverConfig(reg=reg, lam=lam, d=d), rng
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    @pytest.mark.parametrize("case", ["dense-30x20", "sparse-257x256"])
+    def test_rotation(self, case, reg, lam):
+        obs, fp, cfg, rng = self.instance(case, reg, lam)
+        rot = np.linalg.qr(rng.standard_normal((fp.d, fp.d)))[0]
+        rotated = FactorPair(fp.u @ rot, fp.v @ rot)
+        for _ in range(self.ITERS):
+            fp = step(fp, obs, cfg)[0]
+            rotated = step(rotated, obs, cfg)[0]
+            self.close(rotated.u, fp.u @ rot)
+            self.close(rotated.v, fp.v @ rot)
+
+    @pytest.mark.parametrize("axis", ["rows", "cols"])
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    @pytest.mark.parametrize("case", ["dense-30x20", "sparse-257x256"])
+    def test_permutation(self, case, reg, lam, axis):
+        obs, fp, cfg, rng = self.instance(case, reg, lam)
+        # row i of the permuted set is row row_perm[i] of the original
+        row_perm, col_perm = np.arange(obs.m), np.arange(obs.n)
+        if axis == "rows":
+            row_perm = rng.permutation(obs.m)
+        else:
+            col_perm = rng.permutation(obs.n)
+        rows = np.argsort(row_perm)[obs.row_idx]
+        cols = np.argsort(col_perm)[obs.col_idx]
+        order = np.lexsort((cols, rows))
+        permuted_obs = SparseObservations(
+            obs.m, obs.n, rows[order], cols[order], obs.values[order]
+        )
+        permuted = FactorPair(fp.u[row_perm], fp.v[col_perm])
+        for _ in range(self.ITERS):
+            fp = step(fp, obs, cfg)[0]
+            permuted = step(permuted, permuted_obs, cfg)[0]
+            self.close(permuted.u, fp.u[row_perm])
+            self.close(permuted.v, fp.v[col_perm])
+
+
 class TestSolve:
     def test_exact_recovery_rank1(self):
         inst = gen_synthetic(10, 10, 1, 0.0, 1.0, 11)
@@ -586,3 +645,58 @@ class TestConfigAndInit:
         assert rep.factors.u.shape == (6, 8)
         assert np.isfinite(rep.factors.u).all() and np.isfinite(rep.factors.v).all()
         assert np.all(np.diff(rep.objective_trace) <= 1e-12)
+
+
+def exact_low_rank_set(m, n, block_rows, block_cols, sigma, seed):
+    """Observations of every cell of a random block_rows x block_cols block
+    of an m x n matrix, holding a matrix with the singular values ``sigma``:
+    the set, zeros elsewhere, has exactly those nonzero singular values."""
+    rng = philox(seed)
+    rows = np.sort(rng.choice(m, block_rows, replace=False))
+    cols = np.sort(rng.choice(n, block_cols, replace=False))
+    left = np.linalg.qr(rng.standard_normal((block_rows, len(sigma))))[0]
+    right = np.linalg.qr(rng.standard_normal((block_cols, len(sigma))))[0]
+    block = (left * sigma) @ right.T
+    r, c = np.meshgrid(rows, cols, indexing="ij")
+    return SparseObservations(m, n, r.ravel(), c.ravel(), block.ravel())
+
+
+class TestSpectralInitOracle:
+    """The initializer's truncated SVD against LAPACK's SVD of the scaled
+    dense matrix.  Its errors on these sets are about 5e-16, far inside
+    RTOL."""
+
+    RTOL = 1e-8
+
+    # (m, n, block rows, block cols, kernel path): 1200 cells on the dense
+    # path, 75000 cells at density 0.084 on the sparse one
+    CASES = {"dense-40x30": (40, 30, 20, 15, True), "sparse-300x250": (300, 250, 90, 70, False)}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_dense_svd(self, case, k):
+        m, n, block_rows, block_cols, dense_path = self.CASES[case]
+        # rank 3 with gaps between all singular values and at sigma_3
+        obs = exact_low_rank_set(m, n, block_rows, block_cols, np.array([9.0, 4.0, 1.0]), 5)
+        assert sparse_obs._dense_path(obs) is dense_path
+        scaled = obs.values * (m * n / obs.nnz)
+        want_left, want_sigma, want_right_t = np.linalg.svd(sparse_obs._scatter(obs, scaled))
+        want_left, want_right = want_left[:, :k], want_right_t[:k].T
+        left, sigma, right = palm._truncated_sparse_svd(obs, scaled, k, philox(7))
+        assert left.shape == (m, k) and sigma.shape == (k,) and right.shape == (n, k)
+        assert np.all(np.abs(sigma - want_sigma[:k]) <= self.RTOL * want_sigma[:k])
+        signs = np.sign(np.sum(left * want_left, axis=0))
+        assert np.abs(left * signs - want_left).max() <= self.RTOL
+        assert np.abs(right * signs - want_right).max() <= self.RTOL
+
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    def test_block_width_clips_at_the_smaller_dimension(self, reg):
+        # d = 8 on a 6 x 5 set: k = 5, and k + p columns clip to 5, whose
+        # span is all of R^5, so the split reproduces the scaled matrix
+        dense = philox(8).standard_normal((6, 5))
+        rows, cols = np.divmod(np.arange(30), 5)
+        obs = SparseObservations(6, 5, rows, cols, dense[rows, cols])
+        fp = initial_factors(obs, SolverConfig(reg=reg, lam=1.0, d=8, seed=2))
+        assert fp.u.shape == (6, 8) and fp.v.shape == (5, 8)
+        assert np.isfinite(fp.u).all() and np.isfinite(fp.v).all()
+        assert np.abs(fp.product() - dense).max() <= self.RTOL * np.abs(dense).max()

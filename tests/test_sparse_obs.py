@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -6,6 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schattenmc import sparse_obs
+from schattenmc.data import GrayImage, corrupt_image, gen_synthetic, parse_movielens
+from schattenmc.linalg import thin_svd
+from schattenmc.palm import SolverConfig, solve
+from schattenmc.quasinorm import FactorPair, Regularizer
 from schattenmc.sparse_obs import (
     SparseObservations,
     SparseResidual,
@@ -105,6 +110,37 @@ class TestSparseObservations:
         grad_u(r, v)
         grad_v(r, u)
         assert "flat_idx" not in vars(obs)
+
+
+def _diagonal_set():
+    return SparseObservations(3, 3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
+
+
+# each builds a new instance of a frozen dataclass with array fields, equal in
+# every field to the one the previous call built
+ARRAY_DATACLASSES = {
+    "SparseObservations": _diagonal_set,
+    "SparseResidual": lambda: SparseResidual(_diagonal_set(), [0.5, 0.5, 0.5]),
+    "FactorPair": lambda: FactorPair(np.ones((3, 2)), np.ones((3, 2))),
+    "ThinSVD": lambda: thin_svd(np.eye(3)),
+    "SolveReport": lambda: solve(
+        _diagonal_set(), SolverConfig(reg=Regularizer.FN, lam=1.0, d=2, max_iters=2)
+    ),
+    "RatingSet": lambda: parse_movielens(io.StringIO("1::2::3\n2::1::4\n3::3::5\n")),
+    "SyntheticInstance": lambda: gen_synthetic(4, 3, 1, 0.0, 1.0, 0),
+    "GrayImage": lambda: GrayImage(np.zeros((2, 2), dtype=np.uint8)),
+    "Corruption": lambda: corrupt_image(
+        GrayImage(np.zeros((4, 4), dtype=np.uint8)), 0.5, 1.0, 0
+    )[1],
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_DATACLASSES))
+def test_array_dataclasses_compare_and_hash_by_identity(name):
+    a, b = ARRAY_DATACLASSES[name](), ARRAY_DATACLASSES[name]()
+    assert (a == b) is False and (a != b) is True
+    assert (a == a) is True
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
 class TestMaskedResidual:
