@@ -175,7 +175,9 @@ def _cmd_complete(args) -> int:
     except NumericalError as exc:
         outputs = [report_path]
         return _numerical_failure(args, report_path, outputs, t_start, str(exc), exc, {})
-    terms = bound_terms(train, report.factors, args.lam, args.d)
+    # an FN solve's own diagnostics are the FN ones the bound terms read
+    fn_optimality = report.optimality if cfg.reg is Regularizer.FN else None
+    terms = bound_terms(train, report.factors, args.lam, args.d, fn_optimality)
     wall_s = time.perf_counter() - t_start
     payload = {
         "manifest": _manifest("complete", args, [report_path], wall_s),
@@ -185,6 +187,7 @@ def _cmd_complete(args) -> int:
         "duplicates": ratings.duplicate_count,
         "rmse": rmse(report.factors, test),
         "iterations": report.iterations,
+        "restarts": report.restarts,
         "converged": report.converged,
         "final_objective": float(report.objective_trace[-1]),
         "objective_trace": report.objective_trace,
@@ -233,6 +236,7 @@ def _cmd_image(args) -> int:
         "psnr_degraded_db": psnr_deg,
         "psnr_degraded_infinite": math.isinf(psnr_deg),
         "iterations": report.iterations,
+        "restarts": report.restarts,
         "converged": report.converged,
     }
     _write_json(report_path, payload)

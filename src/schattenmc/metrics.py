@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, frobenius_norm
-from .palm import SolverConfig, optimality_residual
+from .palm import OptimalityReport, SolverConfig, optimality_residual
 from .quasinorm import FactorPair, Regularizer
 from .sparse_obs import SparseObservations, masked_residual
 
@@ -63,9 +63,18 @@ def psnr(x, z, max_value: float = 255.0) -> float:
 
 
 def bound_terms(
-    obs: SparseObservations, fp: FactorPair, lam: float, d: int
+    obs: SparseObservations,
+    fp: FactorPair,
+    lam: float,
+    d: int,
+    optimality: OptimalityReport | None = None,
 ) -> BoundTerms:
-    opt = optimality_residual(fp, obs, SolverConfig(Regularizer.FN, lam, d))
+    """Bound terms at ``fp``.  ``optimality`` may pass in the FN diagnostics
+    at (fp, lam), such as an FN solve's ``SolveReport.optimality``, in place
+    of a second optimality pass."""
+    opt = optimality
+    if opt is None:
+        opt = optimality_residual(fp, obs, SolverConfig(Regularizer.FN, lam, d))
     beta = float(np.max(np.abs(obs.values))) if obs.nnz else 0.0
     if obs.nnz:
         sample_term = (obs.m * d * math.log(obs.m) / obs.nnz) ** 0.25

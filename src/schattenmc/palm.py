@@ -14,6 +14,17 @@ value shrinkage for nuclear terms, a plain rescaling for the squared
 Frobenius term.  The V-step gradient is evaluated with the freshly updated
 U.  Stopping: max(||U_{k+1}-U_k||_F, ||V_{k+1}-V_k||_F) < epsilon.
 
+``step`` is one such plain step.  ``solve`` adds heavy-ball inertia to it
+(iPiano: Ochs, Chen, Brox & Pock, SIAM J. Imaging Sci. 2014): step k adds
+beta_k (U_k - U_{k-1}) to the U block and beta_k (V_k - V_{k-1}) to the V
+block before their proximal maps, with beta_k = min((t_k - 1) / t_{k+1},
+0.9) on the FISTA sequence t_1 = 1, so the first step is plain.  The
+gradients, Lipschitz constants and stopping rule are those of the plain
+step at the current iterate, so an inertial step costs the same kernel
+calls.  A step whose objective exceeds the last accepted one is discarded
+for the plain step and t restarts at 1 (monotone restart: Li & Lin, NeurIPS
+2015), so the objective never increases.
+
 ``step`` checks its factors once on entry and ``solve`` starts from factors
 it made; from there the iteration calls the unchecked kernels of
 ``sparse_obs`` and ``linalg``.  Two checks stay in the loop: each step
@@ -78,6 +89,11 @@ LIPSCHITZ_FLOOR = 1e-12
 _INIT_POWER_ITERS = 4
 _INIT_OVERSAMPLE = 10
 
+# Cap on the heavy-ball weight beta_k = (t_k - 1) / t_{k+1} of ``solve``,
+# where t follows the FISTA sequence t_1 = 1,
+# t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2.
+_MOMENTUM_CAP = 0.9
+
 
 class InitStrategy(Enum):
     SPECTRAL_SCALED = "spectral"
@@ -134,6 +150,7 @@ class SolveReport:
     objective_trace: np.ndarray
     lipschitz_trace: np.ndarray
     iterations: int
+    restarts: int
     converged: bool
     optimality: OptimalityReport
 
@@ -218,12 +235,26 @@ def objective(fp: FactorPair, obs: SparseObservations, config: SolverConfig) -> 
     return _reg_term(fp.u, fp.v, config) + 0.5 * r.sq_norm()
 
 
-def _step_core(u, v, sig_v: float, r: np.ndarray, obs, config: SolverConfig):
+def _add_momentum(block: np.ndarray, x, x_prev, beta: float) -> None:
+    """block += beta (x - x_prev), in place, through one temporary."""
+    inertia = x - x_prev
+    inertia *= beta
+    block += inertia
+
+
+def _step_core(
+    u, v, sig_v: float, r: np.ndarray, obs, config: SolverConfig,
+    beta: float = 0.0, u_prev=None, v_prev=None,
+):
     """One alternation from the checked factors (u, v), given
     sig_v = ||v||_2 and the residual values r at (u, v).
 
-    Returns (u1, v1, sig_v1, l_g, l_h, r_next, reg_val): sig_v1 = ||v1||_2,
-    r_next the residual values at (u1, v1), and reg_val the penalty there.
+    With beta > 0 the heavy-ball terms beta (u - u_prev) and beta (v - v_prev)
+    are added to the U- and V-step blocks before their proximal maps; the
+    gradients and Lipschitz constants are those of the plain step.
+
+    Returns (u1, v1, sig_v1, l_g, l_h, r_next, obj): sig_v1 = ||v1||_2,
+    r_next the residual values at (u1, v1), and obj the objective there.
     The shrunk spectra are the new factors' spectra, so the next Lipschitz
     constants and the penalty cost no extra SVDs.
     """
@@ -231,9 +262,15 @@ def _step_core(u, v, sig_v: float, r: np.ndarray, obs, config: SolverConfig):
     coeff = config.reg.shrink_coeff(lam)
 
     l_g = max(sig_v**2, LIPSCHITZ_FLOOR)
-    u1, su = _svt(_finite(u - sp_dot(obs, r, v) / l_g, "U step"), coeff / l_g)
+    b_u = u - sp_dot(obs, r, v) / l_g
+    if beta:
+        _add_momentum(b_u, u, u_prev, beta)
+    u1, su = _svt(_finite(b_u, "U step"), coeff / l_g)
     l_h = max(float(su[0]) ** 2, LIPSCHITZ_FLOOR)
-    b_v = _finite(v - sp_tdot(obs, _residual(u1, v, obs), u1) / l_h, "V step")
+    b_v = v - sp_tdot(obs, _residual(u1, v, obs), u1) / l_h
+    if beta:
+        _add_momentum(b_v, v, v_prev, beta)
+    _finite(b_v, "V step")
     if config.reg is Regularizer.FN:
         v1 = _frob_rescale(b_v, l_h, lam)
         sig_v1 = _sigma_max(v1)
@@ -245,11 +282,12 @@ def _step_core(u, v, sig_v: float, r: np.ndarray, obs, config: SolverConfig):
     reg_val = config.reg.penalty(lam, float(np.sum(su)), v_term)
 
     r_next = _residual(u1, v1, obs)
-    return u1, v1, sig_v1, l_g, l_h, r_next, reg_val
+    return u1, v1, sig_v1, l_g, l_h, r_next, reg_val + 0.5 * float(r_next @ r_next)
 
 
 def step(fp: FactorPair, obs: SparseObservations, config: SolverConfig):
-    """One full (U, V) update; returns (new pair, l_g, l_h).
+    """One full plain (U, V) update, without inertia; returns (new pair,
+    l_g, l_h).
 
     Lipschitz constants are recomputed fresh from the current iterate.
     """
@@ -265,31 +303,49 @@ def _delta(a, b) -> float:
 
 
 def solve(obs: SparseObservations, config: SolverConfig) -> SolveReport:
-    """Iterate alternating proximal steps until the stopping rule or max_iters.
+    """Iterate monotone heavy-ball PALM steps until the stopping rule or max_iters.
+
+    Step k adds beta_k (U_k - U_{k-1}) and beta_k (V_k - V_{k-1}) to the
+    plain step's blocks, beta_k = min((t_k - 1) / t_{k+1}, 0.9) on the FISTA
+    sequence t_1 = 1, so the first step is plain.  A step that raises the
+    objective above the last accepted value is replaced by the plain step
+    from (U_k, V_k), and t restarts at 1.  The objective trace never
+    increases, but ``solve`` is not iterated ``step``.
 
     The report carries the full objective trace (one entry per iterate,
     starting at the initial point), the per-iteration Lipschitz pairs, the
-    convergence flag, and first-order optimality diagnostics at the final
-    iterate.  Deterministic for a fixed config.
+    number of rejected inertial steps, the convergence flag, and first-order
+    optimality diagnostics at the final iterate.  Deterministic for a fixed
+    config.
     """
     trace, lips = [], []
     converged = False
-    iterations = 0
+    iterations = restarts = 0
     try:
         fp0 = initial_factors(obs, config)
         u, v = fp0.u, fp0.v
         r = _residual(u, v, obs)
-        trace.append(_reg_term(u, v, config) + 0.5 * float(r @ r))
+        f = _reg_term(u, v, config) + 0.5 * float(r @ r)
+        trace.append(f)
         sig_v = _sigma_max(v)
+        u_prev, v_prev, t = u, v, 1.0
         for k in range(config.max_iters):
-            u1, v1, sig_v, l_g, l_h, r_next, reg_val = _step_core(
-                u, v, sig_v, r, obs, config
-            )
-            trace.append(reg_val + 0.5 * float(r_next @ r_next))
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = min((t - 1.0) / t_next, _MOMENTUM_CAP)
+            out = _step_core(u, v, sig_v, r, obs, config, beta, u_prev, v_prev)
+            if beta and not out[-1] <= f:
+                # the inertial step raised the objective: free it, take the
+                # plain step and restart the sequence
+                del out
+                out = _step_core(u, v, sig_v, r, obs, config)
+                restarts += 1
+                t_next = 1.0
+            u1, v1, sig_v, l_g, l_h, r, f = out
+            trace.append(f)
             lips.append((l_g, l_h))
             du = _delta(u1, u)
             dv = _delta(v1, v)
-            u, v, r = u1, v1, r_next
+            u_prev, v_prev, u, v, t = u, v, u1, v1, t_next
             iterations = k + 1
             if max(du, dv) < config.epsilon:
                 converged = True
@@ -302,6 +358,7 @@ def solve(obs: SparseObservations, config: SolverConfig) -> SolveReport:
         objective_trace=np.asarray(trace),
         lipschitz_trace=np.asarray(lips).reshape(-1, 2),
         iterations=iterations,
+        restarts=restarts,
         converged=converged,
         optimality=optimality_residual(final, obs, config),
     )

@@ -161,10 +161,39 @@ class TestComplete:
         assert rep["test_size"] == 6
         assert rep["rmse"] >= 0.0
         assert len(rep["objective_trace"]) == rep["iterations"] + 1
+        assert 0 <= rep["restarts"] <= rep["iterations"] - 1
         assert np.all(np.diff(rep["objective_trace"]) <= 1e-12)
         assert set(rep["optimality"]) >= {"q_spectral", "duality_gap", "c2", "c2_lower"}
         assert set(rep["bound_terms"]) >= {"beta", "c2", "c2_lower", "sample_term"}
         assert rep["bound_terms"]["beta"] == 5.0
+
+    @pytest.mark.parametrize("reg, passes", [("fn", 0), ("bin", 1)])
+    def test_bound_terms_reuse_fn_diagnostics(self, tmp_path, monkeypatch, reg, passes):
+        # an FN run's bound terms read the solve's optimality report; a BiN
+        # run makes the FN optimality pass of its own
+        import schattenmc.metrics as metrics_mod
+
+        calls = []
+        real = metrics_mod.optimality_residual
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(metrics_mod, "optimality_residual", counted)
+        data = tmp_path / "ratings.dat"
+        data.write_text(ML_LINES)
+        out = tmp_path / "out"
+        rc = main(
+            ["complete", "--input", str(data), "--train-frac", "0.7", "--d", "2",
+             "--reg", reg, "--lambda", "0.5", "--seed", "5", "--out", str(out)]
+        )
+        assert rc == 0
+        assert len(calls) == passes
+        rep = json.loads((out / "report.json").read_text())
+        if reg == "fn":
+            for key in ("c2", "c2_lower", "degenerate"):
+                assert rep["bound_terms"][key] == rep["optimality"][key]
 
     def test_train_frac_one_usage_error(self, tmp_path):
         data = tmp_path / "r.dat"
@@ -269,6 +298,7 @@ class TestImage:
         assert rc == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["psnr_recovered_infinite"] or rep["psnr_recovered_db"] >= 60.0
+        assert 0 <= rep["restarts"] <= rep["iterations"] - 1
         assert (out / "recovered.pgm").exists()
         assert (out / "degraded.pgm").exists()
 

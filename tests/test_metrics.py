@@ -167,3 +167,5 @@ class TestBoundTerms:
         bt = bound_terms(inst.observations, report.factors, cfg.lam, cfg.d)
         opt = report.optimality
         assert (bt.c2, bt.c2_lower, bt.degenerate) == (opt.c2, opt.c2_lower, opt.degenerate)
+        # the solve's own diagnostics stand in for a second optimality pass
+        assert bound_terms(inst.observations, report.factors, cfg.lam, cfg.d, opt) == bt

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -246,35 +247,92 @@ class TestStep:
         assert l_g > 0 and l_h > 0
 
 
-def dense_palm(u, v, dense, mask, reg, lam, iters):
+def dense_objective(u, v, dense, mask, reg, lam):
+    """The FN / BiN objective on full m x n arrays with a 0/1 mask."""
+
+    def nuclear(a):
+        return np.linalg.svd(a, compute_uv=False).sum()
+
+    if reg is Regularizer.FN:
+        penalty = lam * (2.0 * nuclear(u) + np.sum(v * v)) / 3.0
+    else:
+        penalty = lam * (nuclear(u) + nuclear(v)) / 2.0
+    return penalty + 0.5 * np.sum((mask * (u @ v.T - dense)) ** 2)
+
+
+def dense_step(u, v, dense, mask, reg, lam, beta=0.0, u_prev=None, v_prev=None):
     """The paper's FN / BiN alternation on full m x n arrays with a 0/1 mask,
-    written without the package's kernels: (U, V, l_g, l_h, objective) after
-    each of ``iters`` steps from (u, v)."""
+    written without the package's kernels, plus the heavy-ball terms
+    beta (u - u_prev) and beta (v - v_prev) in the blocks when beta > 0:
+    (U, V, l_g, l_h, objective) after one step from (u, v)."""
 
     def shrink(a, tau):
         left, s, right_t = np.linalg.svd(a, full_matrices=False)
         return (left * np.maximum(s - tau, 0.0)) @ right_t
 
-    def nuclear(a):
-        return np.linalg.svd(a, compute_uv=False).sum()
-
     fn = reg is Regularizer.FN
     coeff = 2.0 * lam / 3.0 if fn else lam / 2.0
+    l_g = max(np.linalg.norm(v, 2) ** 2, palm.LIPSCHITZ_FLOOR)
+    a = u - (mask * (u @ v.T - dense)) @ v / l_g
+    if beta > 0.0:
+        a = a + beta * (u - u_prev)
+    u1 = shrink(a, coeff / l_g)
+    l_h = max(np.linalg.norm(u1, 2) ** 2, palm.LIPSCHITZ_FLOOR)
+    b = v - (mask * (u1 @ v.T - dense)).T @ u1 / l_h
+    if beta > 0.0:
+        b = b + beta * (v - v_prev)
+    v1 = l_h / (l_h + 2.0 * lam / 3.0) * b if fn else shrink(b, coeff / l_h)
+    return u1, v1, l_g, l_h, dense_objective(u1, v1, dense, mask, reg, lam)
+
+
+def dense_palm(u, v, dense, mask, reg, lam, iters):
+    """``iters`` plain steps from (u, v): the output of each ``dense_step``."""
     out = []
     for _ in range(iters):
-        l_g = max(np.linalg.norm(v, 2) ** 2, palm.LIPSCHITZ_FLOOR)
-        u = shrink(u - (mask * (u @ v.T - dense)) @ v / l_g, coeff / l_g)
-        l_h = max(np.linalg.norm(u, 2) ** 2, palm.LIPSCHITZ_FLOOR)
-        b = v - (mask * (u @ v.T - dense)).T @ u / l_h
-        if fn:
-            v = l_h / (l_h + 2.0 * lam / 3.0) * b
-            penalty = lam * (2.0 * nuclear(u) + np.sum(v * v)) / 3.0
-        else:
-            v = shrink(b, coeff / l_h)
-            penalty = lam * (nuclear(u) + nuclear(v)) / 2.0
-        loss = 0.5 * np.sum((mask * (u @ v.T - dense)) ** 2)
-        out.append((u, v, l_g, l_h, penalty + loss))
+        out.append(dense_step(u, v, dense, mask, reg, lam))
+        u, v = out[-1][:2]
     return out
+
+
+def dense_iterates(u, v, dense, mask, reg, lam):
+    """Monotone heavy-ball PALM from (u, v) on the dense arrays: yields
+    (U, V, l_g, l_h, objective, restarted) for each accepted step.
+
+    Step k takes beta_k = min((t_k - 1) / t_{k+1}, 0.9) with FISTA's
+    t_1 = 1, t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2.  A step that raises the
+    objective above the last accepted one is replaced by the plain step
+    (``restarted``), and t starts over at 1.
+    """
+    obj = dense_objective(u, v, dense, mask, reg, lam)
+    u_prev, v_prev, t = u, v, 1.0
+    while True:
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        beta = min((t - 1.0) / t_next, 0.9)
+        u1, v1, l_g, l_h, obj1 = dense_step(u, v, dense, mask, reg, lam, beta, u_prev, v_prev)
+        restarted = beta > 0.0 and obj1 > obj
+        if restarted:
+            u1, v1, l_g, l_h, obj1 = dense_step(u, v, dense, mask, reg, lam)
+            t_next = 1.0
+        yield u1, v1, l_g, l_h, obj1, restarted
+        u_prev, v_prev, u, v, t, obj = u, v, u1, v1, t_next, obj1
+
+
+def dense_solve(u, v, dense, mask, reg, lam, epsilon, max_iters):
+    """``dense_iterates`` until both factors move less than epsilon in
+    Frobenius norm or max_iters steps: (U, V, objective trace, Lipschitz
+    pairs, restarts, converged)."""
+    trace = [dense_objective(u, v, dense, mask, reg, lam)]
+    lips, restarts = [], 0
+    steps = dense_iterates(u, v, dense, mask, reg, lam)
+    for u1, v1, l_g, l_h, obj, restarted in islice(steps, max_iters):
+        trace.append(obj)
+        lips.append((l_g, l_h))
+        restarts += restarted
+        moved = max(np.linalg.norm(u1 - u), np.linalg.norm(v1 - v))
+        u, v = u1, v1
+        if moved < epsilon:
+            return u, v, np.array(trace), np.array(lips), restarts, True
+    return u, v, np.array(trace), np.array(lips), restarts, False
 
 
 # (m, n, rank, data scale, d, sampling ratio, kernel path): at most 2**16
@@ -289,7 +347,8 @@ TRAJECTORY_CASES = {
 
 
 class TestReferenceTrajectory:
-    """Iterated ``step`` follows the dense reference PALM to 1e-10 relative."""
+    """Iterated ``step`` follows the dense reference PALM, and ``solve`` the
+    dense monotone heavy-ball loop, to 1e-10 relative."""
 
     ITERS = 20
     RTOL = 1e-10
@@ -297,10 +356,8 @@ class TestReferenceTrajectory:
     def close(self, got, want):
         assert np.linalg.norm(got - want) <= self.RTOL * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
-    @pytest.mark.parametrize("reg", list(Regularizer))
-    @pytest.mark.parametrize("case", list(TRAJECTORY_CASES))
-    def test_step_matches_dense_reference(self, case, reg, lam):
+    def instance(self, case):
+        """(observations, masked dense data, 0/1 mask, d, rng) of ``case``."""
         m, n, rank, scale, d, sr, dense_path = TRAJECTORY_CASES[case]
         rng = philox(31)
         dense = scale * low_rank(rng, m, n, rank)
@@ -312,7 +369,14 @@ class TestReferenceTrajectory:
         assert sparse_obs._dense_path(obs) is dense_path
         mask = np.zeros((m, n))
         mask[rows, cols] = 1.0
-        dense = dense * mask
+        return obs, dense * mask, mask, d, rng
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    @pytest.mark.parametrize("case", list(TRAJECTORY_CASES))
+    def test_step_matches_dense_reference(self, case, reg, lam):
+        obs, dense, mask, d, rng = self.instance(case)
+        m, n = mask.shape
         fp = FactorPair(0.5 * rng.standard_normal((m, d)), 0.5 * rng.standard_normal((n, d)))
         cfg = SolverConfig(reg=reg, lam=lam, d=d)
         reference = dense_palm(fp.u, fp.v, dense, mask, reg, lam, self.ITERS)
@@ -323,6 +387,47 @@ class TestReferenceTrajectory:
             assert got_g == pytest.approx(l_g, rel=self.RTOL)
             assert got_h == pytest.approx(l_h, rel=self.RTOL)
             assert objective(fp, obs, cfg) == pytest.approx(obj, rel=self.RTOL)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    @pytest.mark.parametrize("case", list(TRAJECTORY_CASES))
+    def test_solve_matches_dense_reference(self, case, reg, lam):
+        # up to 200 steps from the spectral start: some runs converge, some
+        # hit the cap, and restarts fire on both kernel paths
+        obs, dense, mask, d, _ = self.instance(case)
+        cfg = SolverConfig(reg=reg, lam=lam, d=d, max_iters=200, seed=5)
+        fp0 = initial_factors(obs, cfg)
+        u, v, trace, lips, restarts, converged = dense_solve(
+            fp0.u, fp0.v, dense, mask, reg, lam, cfg.epsilon, cfg.max_iters
+        )
+        rep = solve(obs, cfg)
+        assert rep.iterations == len(lips)
+        assert rep.restarts == restarts
+        assert rep.converged is converged
+        self.close(rep.objective_trace, trace)
+        self.close(rep.lipschitz_trace, lips)
+        self.close(rep.factors.u, u)
+        self.close(rep.factors.v, v)
+
+    @pytest.mark.parametrize("case", ["dense-30x20", "sparse-257x256"])
+    def test_reference_runs_include_restarts(self, case):
+        # BiN at lam 5 rejects inertial steps on both kernel paths, so the
+        # comparison above covers the restart branch
+        obs, _, _, d, _ = self.instance(case)
+        rep = solve(obs, SolverConfig(reg=Regularizer.BIN, lam=5.0, d=d, max_iters=200, seed=5))
+        assert rep.restarts > 0
+
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    @pytest.mark.parametrize("case", list(TRAJECTORY_CASES))
+    def test_one_iteration_solve_is_one_step(self, case, reg):
+        obs, _, _, d, _ = self.instance(case)
+        cfg = SolverConfig(reg=reg, lam=1.0, d=d, max_iters=1, seed=5)
+        rep = solve(obs, cfg)
+        fp, l_g, l_h = step(initial_factors(obs, cfg), obs, cfg)
+        assert np.array_equal(rep.factors.u, fp.u)
+        assert np.array_equal(rep.factors.v, fp.v)
+        assert rep.lipschitz_trace.tolist() == [[l_g, l_h]]
+        assert rep.restarts == 0
 
 
 class TestStepMetamorphic:
@@ -422,18 +527,24 @@ class TestSolve:
 
     def test_convergence_flag_soundness(self):
         inst = gen_synthetic(30, 25, 2, 0.05, 0.4, 41)
+        obs = inst.observations
         cfg = SolverConfig(
             reg=Regularizer.FN, lam=2.0, d=3, epsilon=1e-3, max_iters=400, seed=4
         )
-        rep = solve(inst.observations, cfg)
+        rep = solve(obs, cfg)
         assert rep.converged
-        # replay the same deterministic iteration and check the firing step
-        fp = initial_factors(inst.observations, cfg)
-        for k in range(rep.iterations):
-            nxt, _, _ = step(fp, inst.observations, cfg)
-            du = frobenius_norm(nxt.u - fp.u)
-            dv = frobenius_norm(nxt.v - fp.v)
-            fp = nxt
+        # replay the same deterministic iteration through the dense reference
+        # loop and check the firing step
+        mask = np.zeros((obs.m, obs.n))
+        mask[obs.row_idx, obs.col_idx] = 1.0
+        dense = np.zeros((obs.m, obs.n))
+        dense[obs.row_idx, obs.col_idx] = obs.values
+        fp = initial_factors(obs, cfg)
+        steps = dense_iterates(fp.u, fp.v, dense, mask, cfg.reg, cfg.lam)
+        for u, v, *_ in islice(steps, rep.iterations):
+            du = frobenius_norm(u - fp.u)
+            dv = frobenius_norm(v - fp.v)
+            fp = FactorPair(u, v)
         assert max(du, dv) < cfg.epsilon
         assert np.abs(fp.u - rep.factors.u).max() < 1e-12
 
@@ -470,6 +581,15 @@ class TestSolve:
         rep = solve(inst.observations, cfg)
         assert rep.converged
         assert rep.iterations <= 2000
+
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    def test_restarts_on_the_protocol_instance(self, reg):
+        # the criterion-7 protocol: 100 x 100, rank 5, 20% observed, nf 0.1,
+        # lam 5, d 6; the first step is plain, so it is never a restart
+        inst = gen_synthetic(100, 100, 5, 0.1, 0.2, 1003)
+        rep = solve(inst.observations, SolverConfig(reg=reg, lam=5.0, d=6, seed=3))
+        assert rep.converged
+        assert 0 < rep.restarts <= rep.iterations - 1
 
     def test_failure_carries_partial_trace(self, monkeypatch):
         inst = gen_synthetic(20, 20, 2, 0.1, 0.5, 71)
@@ -559,6 +679,7 @@ class TestSolveInvariants:
         assert np.isfinite(rep.factors.u).all() and np.isfinite(rep.factors.v).all()
         assert np.all(np.diff(tr) <= 1e-12 * max(1.0, abs(tr[0])))
         assert rep.iterations <= cfg.max_iters
+        assert 0 <= rep.restarts <= max(rep.iterations - 1, 0)
         assert tr.shape == (rep.iterations + 1,)
 
 
