@@ -40,8 +40,6 @@ from .palm import (
     SolverConfig,
     frob_prox,
     initial_factors,
-    lipschitz_g,
-    lipschitz_h,
     objective,
     optimality_residual,
     solve,
@@ -99,8 +97,6 @@ __all__ = [
     "SolverConfig",
     "frob_prox",
     "initial_factors",
-    "lipschitz_g",
-    "lipschitz_h",
     "objective",
     "optimality_residual",
     "solve",

@@ -14,7 +14,8 @@ value shrinkage for nuclear terms, a plain rescaling for the squared
 Frobenius term.  The V-step gradient is evaluated with the freshly updated
 U.  Stopping: max(||U_{k+1}-U_k||_F, ||V_{k+1}-V_k||_F) < epsilon.
 
-``step`` is one such plain step.  ``solve`` adds heavy-ball inertia to it
+``step`` is one such plain step: one ``_advance`` of the iterate state
+``_Iterate``.  ``solve`` advances the same state with heavy-ball inertia
 (iPiano: Ochs, Chen, Brox & Pock, SIAM J. Imaging Sci. 2014): step k adds
 beta_k (U_k - U_{k-1}) to the U block and beta_k (V_k - V_{k-1}) to the V
 block before their proximal maps, with beta_k = min((t_k - 1) / t_{k+1},
@@ -35,8 +36,10 @@ failure is a ``NumericalError`` too.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +74,6 @@ __all__ = [
     "SolveFailure",
     "svt_prox",
     "frob_prox",
-    "lipschitz_g",
-    "lipschitz_h",
     "objective",
     "step",
     "solve",
@@ -121,10 +122,10 @@ class SolverConfig:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        for name in ("d", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,8 @@ def svt_prox(a, tau: float) -> np.ndarray:
 
     tau = 0 is the identity and returns a copy of ``a`` unchanged.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     a = as_matrix(a)
     if tau == 0.0:
         return a.copy()
@@ -190,29 +191,15 @@ def _svt(a: np.ndarray, tau: float):
 
 def frob_prox(b, l: float, lam: float) -> np.ndarray:
     """Minimizer of (lam/3)||V||_F^2 + (l/2)||V - b||_F^2: a rescaling of b."""
-    if l <= 0:
-        raise ValueError(f"l must be positive, got {l}")
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not 0.0 < l < math.inf:
+        raise ValueError(f"l must be finite and positive, got {l}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     return _frob_rescale(as_matrix(b), l, lam)
 
 
 def _frob_rescale(b: np.ndarray, l: float, lam: float) -> np.ndarray:
     return (l / (l + 2.0 * lam / 3.0)) * b
-
-
-def lipschitz_g(v) -> float:
-    """Lipschitz constant of the U-gradient: ||V||_2^2.
-
-    Computed from LAPACK's singular values of V, which stay exact when the
-    top singular values of an iterate cluster mid-run.
-    """
-    return sigma_max(v) ** 2
-
-
-def lipschitz_h(u) -> float:
-    """Lipschitz constant of the V-gradient: ||U||_2^2."""
-    return sigma_max(u) ** 2
 
 
 def _reg_term(u, v, config: SolverConfig) -> float:
@@ -242,34 +229,46 @@ def _add_momentum(block: np.ndarray, x, x_prev, beta: float) -> None:
     block += inertia
 
 
-def _step_core(
-    u, v, sig_v: float, r: np.ndarray, obs, config: SolverConfig,
-    beta: float = 0.0, u_prev=None, v_prev=None,
-):
-    """One alternation from the checked factors (u, v), given
-    sig_v = ||v||_2 and the residual values r at (u, v).
+class _Iterate(NamedTuple):
+    """The solver state at the factors (u, v): sig_v = ||v||_2, r the
+    residual values there and the objective there."""
 
-    With beta > 0 the heavy-ball terms beta (u - u_prev) and beta (v - v_prev)
-    are added to the U- and V-step blocks before their proximal maps; the
-    gradients and Lipschitz constants are those of the plain step.
+    u: np.ndarray
+    v: np.ndarray
+    sig_v: float
+    r: np.ndarray
+    objective: float
 
-    Returns (u1, v1, sig_v1, l_g, l_h, r_next, obj): sig_v1 = ||v1||_2,
-    r_next the residual values at (u1, v1), and obj the objective there.
-    The shrunk spectra are the new factors' spectra, so the next Lipschitz
-    constants and the penalty cost no extra SVDs.
+
+def _start(u, v, obs, config: SolverConfig) -> _Iterate:
+    """The iterate at the checked factors (u, v)."""
+    r = _residual(u, v, obs)
+    return _Iterate(u, v, _sigma_max(v), r, _reg_term(u, v, config) + 0.5 * float(r @ r))
+
+
+def _advance(it: _Iterate, obs, config: SolverConfig, beta: float = 0.0, prev=None):
+    """One alternation from ``it``; returns (next iterate, l_g, l_h).
+
+    With beta > 0 the heavy-ball terms beta (u - u_prev) and beta (v - v_prev),
+    where (u_prev, v_prev) = prev, are added to the U- and V-step blocks
+    before their proximal maps; the gradients and Lipschitz constants are
+    those of the plain step.  The shrunk spectra are the new factors'
+    spectra, so the next Lipschitz constants and the penalty cost no extra
+    SVDs.
     """
     lam = config.lam
     coeff = config.reg.shrink_coeff(lam)
+    u, v = it.u, it.v
 
-    l_g = max(sig_v**2, LIPSCHITZ_FLOOR)
-    b_u = u - sp_dot(obs, r, v) / l_g
+    l_g = max(it.sig_v**2, LIPSCHITZ_FLOOR)
+    b_u = u - sp_dot(obs, it.r, v) / l_g
     if beta:
-        _add_momentum(b_u, u, u_prev, beta)
+        _add_momentum(b_u, u, prev[0], beta)
     u1, su = _svt(_finite(b_u, "U step"), coeff / l_g)
     l_h = max(float(su[0]) ** 2, LIPSCHITZ_FLOOR)
     b_v = v - sp_tdot(obs, _residual(u1, v, obs), u1) / l_h
     if beta:
-        _add_momentum(b_v, v, v_prev, beta)
+        _add_momentum(b_v, v, prev[1], beta)
     _finite(b_v, "V step")
     if config.reg is Regularizer.FN:
         v1 = _frob_rescale(b_v, l_h, lam)
@@ -281,25 +280,20 @@ def _step_core(
         v_term = float(np.sum(sv))
     reg_val = config.reg.penalty(lam, float(np.sum(su)), v_term)
 
-    r_next = _residual(u1, v1, obs)
-    return u1, v1, sig_v1, l_g, l_h, r_next, reg_val + 0.5 * float(r_next @ r_next)
+    r1 = _residual(u1, v1, obs)
+    return _Iterate(u1, v1, sig_v1, r1, reg_val + 0.5 * float(r1 @ r1)), l_g, l_h
 
 
 def step(fp: FactorPair, obs: SparseObservations, config: SolverConfig):
     """One full plain (U, V) update, without inertia; returns (new pair,
     l_g, l_h).
 
-    Lipschitz constants are recomputed fresh from the current iterate.
+    Lipschitz constants are recomputed fresh from the current iterate, and
+    a zero factor's constant is LIPSCHITZ_FLOOR.
     """
     u, v = _check_pair(fp.u, fp.v, obs)
-    r = _residual(u, v, obs)
-    u1, v1, _, l_g, l_h, _, _ = _step_core(u, v, _sigma_max(v), r, obs, config)
-    return FactorPair(u1, v1), l_g, l_h
-
-
-def _delta(a, b) -> float:
-    d = a - b
-    return math.sqrt(float(np.sum(d * d)))
+    it, l_g, l_h = _advance(_start(u, v, obs, config), obs, config)
+    return FactorPair(it.u, it.v), l_g, l_h
 
 
 def solve(obs: SparseObservations, config: SolverConfig) -> SolveReport:
@@ -323,36 +317,32 @@ def solve(obs: SparseObservations, config: SolverConfig) -> SolveReport:
     iterations = restarts = 0
     try:
         fp0 = initial_factors(obs, config)
-        u, v = fp0.u, fp0.v
-        r = _residual(u, v, obs)
-        f = _reg_term(u, v, config) + 0.5 * float(r @ r)
-        trace.append(f)
-        sig_v = _sigma_max(v)
-        u_prev, v_prev, t = u, v, 1.0
+        it = _start(fp0.u, fp0.v, obs, config)
+        trace.append(it.objective)
+        prev, t = (it.u, it.v), 1.0
         for k in range(config.max_iters):
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = min((t - 1.0) / t_next, _MOMENTUM_CAP)
-            out = _step_core(u, v, sig_v, r, obs, config, beta, u_prev, v_prev)
-            if beta and not out[-1] <= f:
+            nxt, l_g, l_h = _advance(it, obs, config, beta, prev)
+            if beta and not nxt.objective <= it.objective:
                 # the inertial step raised the objective: free it, take the
                 # plain step and restart the sequence
-                del out
-                out = _step_core(u, v, sig_v, r, obs, config)
+                del nxt
+                nxt, l_g, l_h = _advance(it, obs, config)
                 restarts += 1
                 t_next = 1.0
-            u1, v1, sig_v, l_g, l_h, r, f = out
-            trace.append(f)
+            trace.append(nxt.objective)
             lips.append((l_g, l_h))
-            du = _delta(u1, u)
-            dv = _delta(v1, v)
-            u_prev, v_prev, u, v, t = u, v, u1, v1, t_next
+            du = _frobenius_norm(nxt.u - it.u)
+            dv = _frobenius_norm(nxt.v - it.v)
+            prev, it, t = (it.u, it.v), nxt, t_next
             iterations = k + 1
             if max(du, dv) < config.epsilon:
                 converged = True
                 break
     except NumericalError as exc:
         raise SolveFailure(str(exc), trace) from exc
-    final = FactorPair(u, v)
+    final = FactorPair(it.u, it.v)
     return SolveReport(
         factors=final,
         objective_trace=np.asarray(trace),

@@ -47,15 +47,10 @@ _madd_count = 0
 
 
 def kernel_madd_count() -> int:
-    """Multiply-adds of public ``masked_residual`` calls since the last reset:
-    nnz * d per call.  The solver's own residuals (``_residual``) are not
-    counted."""
+    """Multiply-adds of public ``masked_residual`` calls since import: nnz * d
+    per call, read as a difference of two counts.  The solver's own
+    residuals (``_residual``) are not counted."""
     return _madd_count
-
-
-def reset_kernel_madd_count() -> None:
-    global _madd_count
-    _madd_count = 0
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schattenmc import palm, sparse_obs
+from schattenmc import palm, spectral_norm, sparse_obs
 from schattenmc.data import gen_synthetic
 from schattenmc.linalg import NumericalError, frobenius_norm, nuclear_norm
 from schattenmc.metrics import rse
@@ -16,8 +16,6 @@ from schattenmc.palm import (
     SolverConfig,
     frob_prox,
     initial_factors,
-    lipschitz_g,
-    lipschitz_h,
     objective,
     optimality_residual,
     solve,
@@ -104,18 +102,27 @@ class TestFrobProx:
 
 
 class TestLipschitz:
+    """``step``'s l_g is ||V||_2^2 at the iterate it steps from."""
+
     def test_diagonal(self):
-        assert lipschitz_g(np.diag([3.0, 1.0])) == pytest.approx(9.0)
+        fp, obs, _ = small_instance(61)
+        v = np.zeros((8, 2))
+        v[0, 0], v[1, 1] = 3.0, 1.0
+        _, l_g, _ = step(FactorPair(fp.u, v), obs, SolverConfig(reg=Regularizer.FN, lam=1.0, d=2))
+        assert l_g == pytest.approx(9.0)
 
     def test_zero(self):
-        assert lipschitz_g(np.zeros((4, 2))) == 0.0
-        assert lipschitz_h(np.zeros((4, 2))) == 0.0
+        fp, obs, _ = small_instance(62)
+        zero = FactorPair(fp.u, np.zeros((8, 2)))
+        for reg in Regularizer:
+            _, l_g, _ = step(zero, obs, SolverConfig(reg=reg, lam=1.0, d=2))
+            assert l_g == palm.LIPSCHITZ_FLOOR
 
     def test_gradient_lipschitz_inequality(self):
         rng = philox(6)
         _, obs, _ = small_instance(60)
         v = rng.standard_normal((8, 2))
-        lg = lipschitz_g(v)
+        lg = spectral_norm(v) ** 2
         for _ in range(20):
             u1 = rng.standard_normal((10, 2))
             u2 = rng.standard_normal((10, 2))
@@ -133,6 +140,13 @@ class TestBoundaryChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_prox_maps_reject_non_finite(self, bad):
         a = philox(16).standard_normal((5, 3))
+        for call in (
+            lambda: svt_prox(a, bad),
+            lambda: frob_prox(a, bad, 1.0),
+            lambda: frob_prox(a, 1.0, bad),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call()
         a[2, 1] = bad
         for tau in (0.0, 0.5):
             with pytest.raises(ValueError, match="non-finite"):
@@ -243,7 +257,7 @@ class TestStep:
         fp, obs, _ = small_instance(12)
         cfg = SolverConfig(reg=Regularizer.FN, lam=0.5, d=2)
         _, l_g, l_h = step(fp, obs, cfg)
-        assert l_g == pytest.approx(lipschitz_g(fp.v))
+        assert l_g == pytest.approx(spectral_norm(fp.v) ** 2)
         assert l_g > 0 and l_h > 0
 
 
@@ -592,21 +606,25 @@ class TestSolve:
         assert 0 < rep.restarts <= rep.iterations - 1
 
     def test_failure_carries_partial_trace(self, monkeypatch):
-        inst = gen_synthetic(20, 20, 2, 0.1, 0.5, 71)
-        cfg = SolverConfig(reg=Regularizer.FN, lam=1.0, d=3, max_iters=50, seed=7)
+        # this run rejects an inertial step within its first three
+        # iterations, so it makes more steps than it accepts
+        inst = gen_synthetic(20, 20, 2, 0.1, 0.5, 60)
+        cfg = SolverConfig(reg=Regularizer.FN, lam=5.0, d=3, max_iters=50, seed=7)
+        full = solve(inst.observations, cfg).objective_trace
         calls = {"n": 0}
-        original = palm._step_core
+        original = palm._advance
 
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] > 3:
+        def flaky(it, *args, **kwargs):
+            if it.objective == full[3]:  # a step from the fourth accepted iterate
                 raise NumericalError("synthetic failure")
-            return original(*args, **kwargs)
+            calls["n"] += 1
+            return original(it, *args, **kwargs)
 
-        monkeypatch.setattr(palm, "_step_core", flaky)
+        monkeypatch.setattr(palm, "_advance", flaky)
         with pytest.raises(SolveFailure) as exc_info:
             solve(inst.observations, cfg)
-        assert exc_info.value.objective_trace.size == 4  # init + 3 steps
+        assert calls["n"] > 3
+        assert np.array_equal(exc_info.value.objective_trace, full[:4])
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
@@ -735,6 +753,9 @@ class TestConfigAndInit:
             SolverConfig(reg=Regularizer.FN, lam=1.0, d=2, epsilon=0.0)
         with pytest.raises(ValueError):
             SolverConfig(reg=Regularizer.FN, lam=1.0, d=2, max_iters=0)
+        for d, max_iters in [(2.5, 10), (True, 10), (2, 2.5), (2, True)]:
+            with pytest.raises(ValueError, match="positive integer"):
+                SolverConfig(reg=Regularizer.FN, lam=1.0, d=d, max_iters=max_iters)
         non_finite = [(math.inf, 1e-4), (math.nan, 1e-4), (1.0, math.inf), (1.0, math.nan)]
         for lam, epsilon in non_finite:
             with pytest.raises(ValueError, match="finite"):
