@@ -103,7 +103,8 @@ class InitStrategy(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver inputs: penalty choice, finite lam >= 0, rank bound d, stopping rule.
+    """Solver inputs: penalty choice, finite lam >= 0, rank bound d, stopping
+    rule, and the initializer's seed (an integer >= 0).
 
     ``epsilon`` is an absolute Frobenius threshold on factor changes.
     """
@@ -126,6 +127,9 @@ class SolverConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)

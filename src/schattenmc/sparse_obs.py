@@ -13,8 +13,9 @@ Each picks one of two paths from the shape and |omega| alone:
   computed on first use, so sets on the sparse path never hold it;
 * sparse, otherwise: for each of the d columns of the factor or block
   multiplied, one gather of a contiguous column and one ``np.bincount``
-  scatter-accumulate (the residual repeats each row of U over that row's
-  entries, which the row-sorted layout allows, and gathers the rows of V).
+  scatter-accumulate.  The residual gathers the rows of U and V for one
+  block of ``_BLOCK`` entries at a time, so its (block, d) temporaries stay
+  in cache and never grow to |omega| x d.
 
 The first term takes the dense path at density 1/3 and above, where the
 array's 8 m n bytes are no more than the 24 bytes per entry the coordinate
@@ -23,6 +24,16 @@ takes it on every set of at most 2**16 cells, where the sparse path's
 fixed cost per column mostly outweighs its saving (the measured exception
 is d = 1 below density 1/3); the cap keeps the array within 512 KB, so
 below density 1/3 no large allocation appears.
+
+The sparse path gives the bits of a plain per-column scatter over the
+(row, col) order and of one unblocked gather.  Each entry's dot product is
+the same ``einsum`` reduction over its d terms in any block.  ``sp_dot``
+adds its terms in the round-robin order ``SparseObservations.round_robin``
+(every row's first entry, then every row's second, ...), so consecutive
+adds hit different rows instead of waiting on the previous add to the same
+row; each row still meets its own entries in (row, col) order, and
+``np.bincount`` accumulates in entry order, so every row sum is added up
+in the same order.
 
 The public kernels check their factor arguments (2-D, finite, shapes
 matching the set).  The solver checks its inputs once and then calls the
@@ -106,6 +117,20 @@ class SparseObservations:
         """Row-major positions row * n + col of the entries in an m x n array."""
         return self.row_idx * self.n + self.col_idx
 
+    @functools.cached_property
+    def round_robin(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(perm, rows, cols): the entries ordered by (rank within row, row),
+        so the first entry of every row comes first, then every second
+        entry, and so on; rows and cols are row_idx[perm] and col_idx[perm].
+        Each row keeps its entries' relative order."""
+        starts = np.cumsum(self.row_counts) - self.row_counts
+        rank = np.arange(self.nnz) - np.repeat(starts, self.row_counts)
+        # entries are row-sorted, so a stable sort by rank alone breaks ties
+        # by row; numpy radix-sorts a rank that fits in 16 bits
+        rank = rank.astype(np.min_scalar_type(self.row_counts.max()), copy=False)
+        perm = np.argsort(rank, kind="stable")
+        return perm, self.row_idx[perm], self.col_idx[perm]
+
     def dense(self) -> np.ndarray:
         """Materialize P_omega(D) (zeros off the observed set)."""
         return _scatter(self, self.values)
@@ -159,6 +184,11 @@ def _dense_path(obs: SparseObservations) -> bool:
     return obs.m * obs.n <= max(3 * obs.nnz, _DENSE_CELLS)
 
 
+# entries per block of the sparse-path residual: at d = 10 and 20 on the
+# ratings shape, 4096-16384 measured alike and 65536 up to twice as slow
+_BLOCK = 8192
+
+
 def _residual(u: np.ndarray, v: np.ndarray, obs: SparseObservations) -> np.ndarray:
     """Values of U V^T - D on the observed set, for checked float64 factors."""
     if _dense_path(obs):
@@ -166,10 +196,16 @@ def _residual(u: np.ndarray, v: np.ndarray, obs: SparseObservations) -> np.ndarr
         # entry is one product either way, so both give the same bits
         product = np.dot if u.shape[1] == 1 else np.matmul
         pred = product(u, v.T).ravel().take(obs.flat_idx)
-    else:
-        # row-sorted entries: repeating each row of u is the row gather
-        pred = np.einsum("ij,ij->i", np.repeat(u, obs.row_counts, axis=0), v[obs.col_idx])
-    return pred - obs.values
+        return pred - obs.values
+    # blocks of _BLOCK entries keep both (block, d) row gathers in cache; each
+    # entry's dot product is the same einsum reduction in any block
+    rows, cols, values = obs.row_idx, obs.col_idx, obs.values
+    out = np.empty(obs.nnz)
+    for start in range(0, obs.nnz, _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        np.einsum("ij,ij->i", u[rows[blk]], v[cols[blk]], out=out[blk])
+        out[blk] -= values[blk]
+    return out
 
 
 def masked_residual(u, v, obs: SparseObservations) -> SparseResidual:
@@ -195,7 +231,10 @@ def sp_dot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.nda
     """S @ x for the sparse matrix S with `values` on the obs pattern; x is n x d."""
     if _dense_path(obs):
         return _scatter(obs, values) @ x
-    return _scatter_columns(obs.row_idx, obs.col_idx, values, x, obs.m)
+    # round-robin order: consecutive adds hit different rows, and each row
+    # still sums its terms in entry order
+    perm, rows, cols = obs.round_robin
+    return _scatter_columns(rows, cols, values[perm], x, obs.m)
 
 
 def sp_tdot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.ndarray:

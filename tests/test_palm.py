@@ -756,6 +756,10 @@ class TestConfigAndInit:
         for d, max_iters in [(2.5, 10), (True, 10), (2, 2.5), (2, True)]:
             with pytest.raises(ValueError, match="positive integer"):
                 SolverConfig(reg=Regularizer.FN, lam=1.0, d=d, max_iters=max_iters)
+        for seed in (-1, 2.5, True, False, "1", None):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                SolverConfig(reg=Regularizer.FN, lam=1.0, d=2, seed=seed)
+        assert SolverConfig(reg=Regularizer.FN, lam=1.0, d=2, seed=np.uint32(7)).seed == 7
         non_finite = [(math.inf, 1e-4), (math.nan, 1e-4), (1.0, math.inf), (1.0, math.nan)]
         for lam, epsilon in non_finite:
             with pytest.raises(ValueError, match="finite"):

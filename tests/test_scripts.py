@@ -66,3 +66,14 @@ def test_kernel_path_grid_forces_each_path():
     for dense in (True, False):
         assert grid.kernel_cost_us(obs, u, v, dense) > 0
         assert sparse_obs._dense_path is rule
+
+
+def test_sparse_kernel_cost():
+    out = run_script(
+        "sparse_kernel_cost.py", "--m", 300, "--n", 250, "--nnz", 3000,
+        "--ds", 2, 3, "--number", 1, "--repeat", 1,
+    )
+    assert out[0].startswith("300 x 250, ")
+    assert out[1].startswith("round-robin order")
+    rows = [line.split("|")[1:-1] for line in out if line.startswith(("| 2 |", "| 3 |"))]
+    assert len(rows) == 2 and all(float(ms) > 0 for row in rows for ms in row[1:])

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,43 @@ class TestSparseObservations:
         assert "flat_idx" not in vars(obs)
         assert obs.flat_idx.tolist() == [3, 4, 10]
         assert "flat_idx" in vars(obs)
+
+    def test_dense_path_holds_no_round_robin_order(self):
+        u, v, _, obs = random_instance(8)
+        assert sparse_obs._dense_path(obs)
+        r = masked_residual(u, v, obs)
+        grad_u(r, v)
+        grad_v(r, u)
+        solve(obs, SolverConfig(reg=Regularizer.BIN, lam=1.0, d=2, max_iters=3))
+        assert "round_robin" not in vars(obs)
+
+    def test_round_robin_order_is_built_by_the_first_sparse_row_sum(self):
+        u, v, _, obs = random_instance(10, m=300, n=300, d=3, sr=0.01)
+        r = masked_residual(u, v, obs)
+        grad_v(r, u)
+        assert "round_robin" not in vars(obs)
+        grad_u(r, v)
+        assert "round_robin" in vars(obs)
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            ([], []),
+            ([2], [1]),
+            ([0, 0, 0, 1, 3, 3], [0, 1, 3, 2, 0, 2]),
+            ([1, 1, 1, 1, 2, 4], [0, 1, 2, 3, 2, 1]),
+        ],
+    )
+    def test_round_robin_order(self, rows, cols):
+        obs = SparseObservations(5, 4, rows, cols, np.arange(len(rows), dtype=float))
+        perm, rr_rows, rr_cols = obs.round_robin
+        assert np.array_equal(np.sort(perm), np.arange(obs.nnz))
+        assert np.array_equal(rr_rows, obs.row_idx[perm])
+        assert np.array_equal(rr_cols, obs.col_idx[perm])
+        # ordered by (rank within row, row); each row keeps its entry order
+        rank = perm - (np.cumsum(obs.row_counts) - obs.row_counts)[rr_rows]
+        key = rank * obs.m + rr_rows
+        assert np.all(np.diff(key) > 0)
 
     def test_sparse_path_holds_no_flat_index(self):
         # 300 x 300 at 1% observed is above 2**16 cells and below density 1/3
@@ -464,3 +502,51 @@ class TestKernelPaths:
         lin = np.arange(nnz) * (m * n // nnz)
         obs = SparseObservations(m, n, lin // n, lin % n, np.zeros(nnz))
         assert sparse_obs._dense_path(obs) == dense
+
+
+# flat positions of the entries of 300 x 250 sets, all on the sparse path
+_BLOCK_SETS = {
+    # 5 entries in each of rows 0-99: every block size below splits some rows
+    "rows straddle block edges": [r * 250 + c for r in range(100) for c in range(0, 250, 50)],
+    # rows 0-99 and 200-299 and every odd column empty
+    "empty rows": [r * 250 + c for r in range(100, 200) for c in range(0, 250, 2)],
+    # row 150 holds 240 of the 289 entries, every sixth other row one entry
+    "one row holds most entries": sorted(
+        [150 * 250 + c for c in range(240)]
+        + [r * 250 + r % 250 for r in range(0, 300, 6) if r != 150]
+    ),
+    "single-entry rows": [r * 250 + (7 * r) % 250 for r in range(300)],
+}
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_SETS))
+@pytest.mark.parametrize(
+    "block",
+    [lambda nnz: 1, lambda nnz: 7, lambda nnz: nnz - 1, lambda nnz: nnz],
+    ids=["1", "7", "nnz-1", "nnz"],
+)
+def test_blocked_residual_is_bit_identical(monkeypatch, name, block):
+    # _check_kernels requires the residual to equal the unblocked einsum and
+    # sp_dot / sp_tdot the reference scatter, bit for bit
+    obs, u, v = _instance(300, 250, _BLOCK_SETS[name], 6, 11)
+    monkeypatch.setattr(sparse_obs, "_BLOCK", block(obs.nnz))
+    assert obs.nnz >= sparse_obs._BLOCK
+    _check_kernels(obs, u, v, dense=False)
+
+
+def test_sparse_residual_allocates_no_nnz_by_d_block():
+    # 1000 x 1000 at 10% observed, d = 20: one (nnz, d) float64 block is 16 MB
+    d, nnz = 20, 100_000
+    lin = philox(12).choice(10**6, nnz, replace=False)
+    obs, u, v = _instance(1000, 1000, lin, d, 12)
+    assert not sparse_obs._dense_path(obs)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        masked_residual(u, v, obs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the nnz result, plus two (block, d) gathers and their index slices
+    assert peak <= 8 * 2 * nnz + 8 * 3 * sparse_obs._BLOCK * d
+    assert peak < 8 * nnz * d
