@@ -6,9 +6,12 @@ users (rows) and items (columns) plus the original ids, so the solver, the
 split and ``metrics.rmse`` all read the same sorted coordinate arrays.
 
 Ratings are read by numpy's C text reader, ``np.loadtxt``, in one pass over
-the stream.  A Python loop over the lines is the fallback: it reads every
-stream the C reader declines and raises every ``DataFormatError``, and both
-give the same result for every input.
+the stream, after one numpy pass over each block's bytes has ruled out the
+lines it would read differently.  A Python loop over the lines is the
+fallback: it reads every stream the C reader declines and raises every
+``DataFormatError``, and both give the same result for every input.  Ids
+are remapped by a presence table where they are dense, and duplicate
+(user, item) lines are resolved by one sort of their keys.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ _TABLE_COLUMNS = {
     "csv": (",", (0, 1, 2)),
 }
 _TABLE_DTYPE = np.dtype([("user", np.int64), ("item", np.int64), ("value", np.float64)])
-_SCAN_CHARS = 1 << 20  # block size of the colon scan
+_SCAN_CHARS = 1 << 20  # block size of the scan ahead of np.loadtxt
 
 
 class DataFormatError(ValueError):
@@ -120,21 +123,43 @@ def parse_movielens(stream, fmt: str = "double-colon") -> RatingSet:
     if fmt not in _SEPARATORS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     users, items, vals = _parse_table(stream, fmt) or _parse_lines(stream, fmt)
-    user_ids, u_dense = np.unique(users, return_inverse=True)
-    item_ids, i_dense = np.unique(items, return_inverse=True)
+    user_ids, u_dense = _dense_ids(users)
+    item_ids, i_dense = _dense_ids(items)
     n = item_ids.size
-    key = u_dense * n + i_dense
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    last_of_run = np.ones(order.size, dtype=bool)
-    last_of_run[:-1] = sorted_key[1:] != sorted_key[:-1]
-    keep = order[last_of_run]
-    duplicates = int(order.size - keep.size)
+    keep = _last_of_each_key(u_dense * n + i_dense)
+    duplicates = int(u_dense.size - keep.size)
     rows, cols, vals = u_dense[keep], i_dense[keep], vals[keep]
     # free the temporaries before the constructor's checks allocate their own:
     # the heap keeps its high-water mark through the solve that follows
-    del users, items, u_dense, i_dense, key, order, sorted_key, last_of_run, keep
+    del users, items, u_dense, i_dense, keep
     return RatingSet(user_ids.size, n, rows, cols, vals, user_ids, item_ids, duplicates)
+
+
+def _last_of_each_key(key):
+    """The position of the last occurrence of each distinct key, in key order."""
+    order = np.argsort(key)
+    sorted_key = key[order]
+    run_starts = np.flatnonzero(np.concatenate(([True], sorted_key[1:] != sorted_key[:-1])))
+    # each run holds the positions of one key in any order; its largest is the last
+    return np.maximum.reduceat(order, run_starts)
+
+
+def _dense_ids(ids):
+    """``np.unique(ids, return_inverse=True)`` for a 1-D int64 array: the
+    sorted distinct ids and each element's index among them.
+
+    Where the ids span no more values than there are elements, a presence
+    table and its running count give the same arrays without a sort.
+    """
+    lo = int(ids.min())
+    span = int(ids.max()) - lo  # in Python ints: int64 extremes overflow in numpy
+    if span > ids.size:
+        return np.unique(ids, return_inverse=True)
+    offset = ids - lo
+    present = np.zeros(span + 1, dtype=bool)
+    present[offset] = True
+    rank = np.cumsum(present, dtype=np.intp) - 1
+    return np.flatnonzero(present) + lo, rank[offset]
 
 
 def _fields(parts):
@@ -195,45 +220,58 @@ def _parse_lines(stream, fmt):
     )
 
 
-def _colons_paired(text: str) -> bool:
-    """No single ':' and no ':::' in ``text``."""
-    return ":::" not in text and text.count(":") == 2 * text.count("::")
-
-
 # a line of whitespace alone, which the line loop skips and np.loadtxt rejects;
 # a CR before the newline is the line ending, not its content
 _BLANK_LINE = re.compile(r"\n[^\S\r\n]+(?=\r?(?:\n|\Z))")
+_COLON, _LF, _CR = ord(":"), ord("\n"), ord("\r")
+# bytes below this are the ASCII controls and the space: besides CR and LF,
+# the only ASCII characters that can make a whitespace-only line
+_ABOVE_SPACE = ord(" ") + 1
 
 
-def _c_reader_safe(text: str) -> bool:
-    """``_colons_paired`` on a run of whole lines, none of them whitespace-only."""
-    return _colons_paired(text) and not _BLANK_LINE.search("\n" + text)
+def _c_reader_safe(text: str, colons: bool) -> bool:
+    """Whether ``text``, a run of whole lines, holds no whitespace-only line
+    and, with ``colons``, no single ':' and no ':::', so that every ':' is
+    a half of a "::"."""
+    # a lone surrogate (a surrogateescape stream) encodes to bytes without ':'
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    if colons:
+        # every ':' has exactly one ':' neighbour; a ':' byte never occurs
+        # inside a multi-byte UTF-8 character
+        is_colon = np.zeros(raw.size + 2, dtype=bool)
+        np.equal(raw, _COLON, out=is_colon[1:-1])
+        if (is_colon[1:-1] & (is_colon[:-2] == is_colon[2:])).any():
+            return False
+    if text.isascii():
+        line_ends = np.count_nonzero(raw == _LF) + np.count_nonzero(raw == _CR)
+        if np.count_nonzero(raw < _ABOVE_SPACE) == line_ends:
+            return True
+    return not _BLANK_LINE.search("\n" + text)
 
 
-def _stream_colons_paired(stream) -> bool:
+def _stream_c_reader_safe(stream, colons: bool) -> bool:
     """``_c_reader_safe`` over the rest of the stream, read in blocks cut at
     their last newline, so that no '::' or line is split across two blocks."""
     tail = ""
     while block := stream.read(_SCAN_CHARS):
         block = tail + block
         cut = block.rfind("\n") + 1
-        if not _c_reader_safe(block[:cut]):
+        if not _c_reader_safe(block[:cut], colons):
             return False
         tail = block[cut:]
-    return _c_reader_safe(tail)
+    return _c_reader_safe(tail, colons)
 
 
 def _read_table(stream, fmt, start):
     """One ``np.loadtxt`` pass from ``start``; None where its result could
     differ from the line loop's."""
     delimiter, usecols = _TABLE_COLUMNS[fmt]
-    if fmt == "double-colon":
-        # ':' as the delimiter would read "1::2::3:4::5" as (1, 2, 3), and a
-        # whitespace-only line would fail the pass only once it is reached
-        if not _stream_colons_paired(stream):
-            return None
-        stream.seek(start)
-    elif fmt == "csv" and not _is_csv_header(stream.readline()):
+    # a whitespace-only line would fail the pass only once it is reached, and
+    # ':' as the delimiter would read "1::2::3:4::5" as (1, 2, 3)
+    if not _stream_c_reader_safe(stream, fmt == "double-colon"):
+        return None
+    stream.seek(start)
+    if fmt == "csv" and not _is_csv_header(stream.readline()):
         stream.seek(start)
     with warnings.catch_warnings():
         # e.g. an int parsed through float ("2.0"), deprecated on some numpy versions

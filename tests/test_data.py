@@ -1,11 +1,11 @@
 import io
 import math
-
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schattenmc import data
@@ -39,6 +39,20 @@ ML_FIXTURE = """1::10::4.5::978300760
 5::12::4.0::978300768
 5::10::1.5::978300769
 """
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def id_lists(draw):
+    """int64 ids: a few values near one base, negatives and the int64 edges
+    included (a presence table covers them), or values anywhere in int64."""
+    if draw(st.booleans()):
+        base = draw(INT64 | st.sampled_from([-(2**63), -1, 0, 2**63 - 1]))
+        offsets = draw(st.lists(st.integers(0, 40), min_size=1, max_size=40))
+        return [base - o if base > 0 else base + o for o in offsets]
+    return draw(st.lists(INT64, min_size=1, max_size=40))
 
 
 def random_ratings_text(seed, users=40, items=25, lines=500):
@@ -178,6 +192,35 @@ class TestParseMovielens:
         rs = parse_movielens(io.StringIO(edge))
         assert rs.user_ids.tolist() == [2**63 - 1] and rs.item_ids.tolist() == [-(2**63)]
 
+    @pytest.mark.parametrize("scale", [1, 10**12])  # dense ids, and ids spread wide
+    def test_duplicates_keep_the_last_line(self, scale):
+        rng = philox(9)
+        size = 2000  # over 35 x 12 keys: most lines repeat an earlier key
+        users = rng.integers(-5, 30, size=size) * scale
+        items = rng.integers(0, 12, size=size) * scale
+        vals = rng.integers(0, 10, size=size) / 2
+        text = "".join(f"{u}::{i}::{v}\n" for u, i, v in zip(users, items, vals))
+        rs = parse_movielens(io.StringIO(text))
+        user_ids, rows = np.unique(users, return_inverse=True)
+        item_ids, cols = np.unique(items, return_inverse=True)
+        order = np.lexsort((np.arange(size), cols, rows))
+        key = rows[order] * item_ids.size + cols[order]
+        keep = order[np.append(key[1:] != key[:-1], True)]
+        assert rs.duplicate_count == size - keep.size > 0
+        parsed = (rs.row_idx, rs.col_idx, rs.values, rs.user_ids, rs.item_ids)
+        expected = (rows[keep], cols[keep], vals[keep], user_ids, item_ids)
+        for got, want in zip(parsed, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ids=id_lists())
+    @example(ids=[7, 7, 7])
+    @example(ids=[-(2**63), 2**63 - 1])
+    def test_dense_ids_match_unique(self, ids):
+        a = np.array(ids, dtype=np.int64)
+        for got, want in zip(data._dense_ids(a), np.unique(a, return_inverse=True)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_solve_accepts_rating_set(self):
         rs = parse_movielens(io.StringIO(random_ratings_text(2)))
         report = solve(rs, SolverConfig(Regularizer.FN, 1.0, 3, max_iters=20, seed=0))
@@ -241,6 +284,19 @@ ODD_EXTRAS = ["1:2", "a::b", ":", "a\tb", "a,b"]
 ODD_SEPARATORS = {"double-colon": [":", ":::"], "tab": ["\t\t", " "], "csv": [",,", ";"]}
 FAULTS = ["id", "value", "separator", "extra", "short", "blank", "header", "cr"]
 COLON_RUNS = st.sampled_from(["::", ":", ":::", "::::"])
+# the scan's alphabet: colons, digits, line ends, ASCII and non-ASCII
+# whitespace, and a non-ASCII letter
+SCAN_ALPHABET = list(":0123456789\n\r \t\x0b\x1c\x85\xa0\u2028\xe9")
+
+
+def reference_colons_paired(text):
+    """No single ':' and no ':::', by counting."""
+    return ":::" not in text and text.count(":") == 2 * text.count("::")
+
+
+def reference_blank_line(text):
+    """A whitespace-only line, CR-LF ended or not, anywhere in ``text``."""
+    return re.search(r"\n[^\S\r\n]+(?=\r?(?:\n|\Z))", "\n" + text) is not None
 
 
 @st.composite
@@ -358,9 +414,32 @@ class TestParsePaths:
 
     def test_scan_blocks_cut_at_newlines(self, monkeypatch):
         monkeypatch.setattr(data, "_SCAN_CHARS", 5)  # splits most '::' across reads
-        assert data._stream_colons_paired(io.StringIO("12::34::5\n6::7::8::9\n"))
-        assert not data._stream_colons_paired(io.StringIO("12::34::5\n6::7:8::9"))
-        assert not data._stream_colons_paired(io.StringIO("12::34::5\n6::7::::9"))
+        scan = data._stream_c_reader_safe
+        assert scan(io.StringIO("12::34::5\n6::7::8::9\n"), True)
+        assert not scan(io.StringIO("12::34::5\n6::7:8::9"), True)
+        assert not scan(io.StringIO("12::34::5\n6::7::::9"), True)
+        assert not scan(io.StringIO("12::34::5\n \n6::7::8\n"), True)
+        assert not scan(io.StringIO("12\t34\t5\n\t\n"), False)
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text(st.sampled_from(SCAN_ALPHABET), max_size=40))
+    def test_scan_rule_matches_the_string_reference(self, text):
+        blank_line = reference_blank_line(text)
+        paired = reference_colons_paired(text)
+        assert data._c_reader_safe(text, True) == (paired and not blank_line)
+        assert data._c_reader_safe(text, False) == (not blank_line)
+
+    def test_surrogateescape_stream_parses_as_the_loop(self):
+        # a byte that is not UTF-8 reads as a lone surrogate, here '\udcff':
+        # in an unused field, in an id, and on an otherwise blank line
+        for raw in (b"1::2::3::\xff\n4::5::6\n", b"1::2::3\n\xff::5::6\n", b"1::2::3\n \xff\n"):
+            fast, loop = (
+                io.TextIOWrapper(cls(raw), encoding="utf-8", errors="surrogateescape")
+                for cls in (io.BytesIO, _Unseekable)
+            )
+            assert outcome(fast, "double-colon") == outcome(loop, "double-colon")
+        assert data._c_reader_safe("1::\udcff::3\n", True)
+        assert not data._c_reader_safe("1::\udcff:3\n", True)
 
     def test_whitespace_only_line_declines_before_the_c_reader(self, monkeypatch):
         real, calls = np.loadtxt, []
@@ -370,18 +449,20 @@ class TestParsePaths:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", counted)
-        text = random_ratings_text(11)
-        clean = outcome(text_stream(text), "double-colon")
-        assert clean[0] == "ok" and len(calls) == 1
-        for blank in (" \n", "\t \r\n", " "):
+        for fmt in FORMATS:
+            text = random_ratings_text(11).replace("::", SEPARATORS[fmt])
             calls.clear()
-            assert outcome(text_stream(text + blank), "double-colon") == clean
+            clean = outcome(text_stream(text), fmt)
+            assert clean[0] == "ok" and len(calls) == 1
+            for blank in (" \n", "\t \r\n", " "):
+                calls.clear()
+                assert outcome(text_stream(text + blank), fmt) == clean
+                assert not calls
+            calls.clear()
+            assert outcome(text_stream(" \n" + text), fmt) == clean
             assert not calls
-        calls.clear()
-        assert outcome(text_stream(" \n" + text), "double-colon") == clean
-        assert not calls
         # an empty line, CR-LF ended or not, is one the C reader skips too
-        assert data._stream_colons_paired(io.StringIO("1::2::3\n\n4::5::6\r\n\r\n"))
+        assert data._stream_c_reader_safe(io.StringIO("1::2::3\n\n4::5::6\r\n\r\n"), True)
 
     def test_csv_header_only_on_the_first_line(self):
         late = ("1,2,3\n" + CSV_HEADER + "\n", "\n" + CSV_HEADER + "\n1,2,3\n", "a,b\n1,2,3\n")

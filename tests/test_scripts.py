@@ -26,22 +26,6 @@ def run_script(name, *args):
     return proc.stdout.splitlines()
 
 
-def test_run_movielens(tmp_path):
-    rng = philox(3)
-    lines = []
-    for user in range(1, 41):
-        for item in rng.choice(30, size=10, replace=False) + 1:
-            lines.append(f"{user}::{item}::{rng.integers(1, 6)}::978300760\n")
-    ratings = tmp_path / "ratings.dat"
-    ratings.write_text("".join(lines))
-    out = run_script(
-        "run_movielens.py", "--input", ratings, "--fractions", 0.5, "--max-iters", 20
-    )
-    assert out[0].startswith("400 ratings, 40 users x ")
-    rows = [line for line in out if line.startswith("train 50%")]
-    assert len(rows) == 2  # FN and BiN
-
-
 def test_run_synthetic_benchmark():
     out = run_script(
         "run_synthetic_benchmark.py", "--m", 20, "--n", 20, "--rank", 2, "--runs", 1
