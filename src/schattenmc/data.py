@@ -128,7 +128,9 @@ def parse_movielens(stream, fmt: str = "double-colon") -> RatingSet:
     n = item_ids.size
     keep = _last_of_each_key(u_dense * n + i_dense)
     duplicates = int(u_dense.size - keep.size)
-    rows, cols, vals = u_dense[keep], i_dense[keep], vals[keep]
+    # np.take first copies a strided source whole, and the C reader's values
+    # are a field of its structured table, so they keep the indexing gather
+    rows, cols, vals = u_dense.take(keep), i_dense.take(keep), vals[keep]
     # free the temporaries before the constructor's checks allocate their own:
     # the heap keeps its high-water mark through the solve that follows
     del users, items, u_dense, i_dense, keep
@@ -138,7 +140,7 @@ def parse_movielens(stream, fmt: str = "double-colon") -> RatingSet:
 def _last_of_each_key(key):
     """The position of the last occurrence of each distinct key, in key order."""
     order = np.argsort(key)
-    sorted_key = key[order]
+    sorted_key = key.take(order)
     run_starts = np.flatnonzero(np.concatenate(([True], sorted_key[1:] != sorted_key[:-1])))
     # each run holds the positions of one key in any order; its largest is the last
     return np.maximum.reduceat(order, run_starts)
@@ -321,7 +323,9 @@ def split_train_test(rs: SparseObservations, train_fraction: float, seed: int):
     is_train[philox_rng(seed).permutation(rs.nnz)[:k]] = True
 
     def subset(idx):
-        return SparseObservations(rs.m, rs.n, rs.row_idx[idx], rs.col_idx[idx], rs.values[idx])
+        return SparseObservations(
+            rs.m, rs.n, rs.row_idx.take(idx), rs.col_idx.take(idx), rs.values.take(idx)
+        )
 
     return subset(np.flatnonzero(is_train)), subset(np.flatnonzero(~is_train))
 

@@ -15,7 +15,11 @@ Each picks one of two paths from the shape and |omega| alone:
   multiplied, one gather of a contiguous column and one ``np.bincount``
   scatter-accumulate.  The residual gathers the rows of U and V for one
   block of ``_BLOCK`` entries at a time, so its (block, d) temporaries stay
-  in cache and never grow to |omega| x d.
+  in cache and never grow to |omega| x d.  The gathers are numpy's copy
+  primitives, not fancy indexing: ``np.take`` for the residual's row blocks
+  and for ``sp_dot``'s values and columns, and ``np.repeat`` of each column
+  by ``row_counts`` for ``sp_tdot``, whose row-sorted entries need each
+  x[i, k] row_counts[i] times in a row, so it reads no index array.
 
 The first term takes the dense path at density 1/3 and above, where the
 array's 8 m n bytes are no more than the 24 bytes per entry the coordinate
@@ -33,7 +37,11 @@ adds its terms in the round-robin order ``SparseObservations.round_robin``
 adds hit different rows instead of waiting on the previous add to the same
 row; each row still meets its own entries in (row, col) order, and
 ``np.bincount`` accumulates in entry order, so every row sum is added up
-in the same order.
+in the same order.  ``np.take`` and ``np.repeat`` copy the same values
+as the fancy-index gathers ``u[rows]`` and ``x[row_idx, k]`` into new
+C-contiguous arrays whatever the factors' layout (Fortran order, strided
+views, read-only), so the einsum and ``np.bincount`` see the same operands
+in the same order and every output keeps its bits.
 
 The public kernels check their factor arguments (2-D, finite, shapes
 matching the set).  The solver checks its inputs once and then calls the
@@ -184,8 +192,11 @@ def _dense_path(obs: SparseObservations) -> bool:
     return obs.m * obs.n <= max(3 * obs.nnz, _DENSE_CELLS)
 
 
-# entries per block of the sparse-path residual: at d = 10 and 20 on the
-# ratings shape, 4096-16384 measured alike and 65536 up to twice as slow
+# entries per block of the sparse-path residual.  On the ratings shape
+# (500k entries, one BLAS thread, medians of 5 sweeps) with the take
+# gathers, 2048-65536 measured 13.6-14.9 ms at d = 10 and 19.1-22.8 ms at
+# d = 20; 4096 was fastest at both d, but only 6% ahead at d = 10, short of
+# the 10% at both d that a change of size needs
 _BLOCK = 8192
 
 
@@ -198,12 +209,15 @@ def _residual(u: np.ndarray, v: np.ndarray, obs: SparseObservations) -> np.ndarr
         pred = product(u, v.T).ravel().take(obs.flat_idx)
         return pred - obs.values
     # blocks of _BLOCK entries keep both (block, d) row gathers in cache; each
-    # entry's dot product is the same einsum reduction in any block
+    # entry's dot product is the same einsum reduction in any block.  np.take
+    # first copies a source that is not C-contiguous whole, so that copy is
+    # made once here, not once per block (the solver's factors need none)
+    u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)
     rows, cols, values = obs.row_idx, obs.col_idx, obs.values
     out = np.empty(obs.nnz)
     for start in range(0, obs.nnz, _BLOCK):
         blk = slice(start, start + _BLOCK)
-        np.einsum("ij,ij->i", u[rows[blk]], v[cols[blk]], out=out[blk])
+        np.einsum("ij,ij->i", u.take(rows[blk], axis=0), v.take(cols[blk], axis=0), out=out[blk])
         out[blk] -= values[blk]
     return out
 
@@ -217,13 +231,13 @@ def masked_residual(u, v, obs: SparseObservations) -> SparseResidual:
     return SparseResidual(obs, values)
 
 
-def _scatter_columns(idx, other_idx, values, x, rows):
-    # entry e adds values[e] * x[other_idx[e], k] to out[idx[e], k]; one
+def _scatter_columns(idx, gather, values, x, rows):
+    # entry e adds values[e] * gather(x[:, k])[e] to out[idx[e], k]; one
     # contiguous column of x per bincount keeps each gather unit-stride
     xt = np.ascontiguousarray(x.T)
     out = np.empty((rows, x.shape[1]))
     for k in range(x.shape[1]):
-        out[:, k] = np.bincount(idx, weights=xt[k][other_idx] * values, minlength=rows)
+        out[:, k] = np.bincount(idx, weights=gather(xt[k]) * values, minlength=rows)
     return out
 
 
@@ -234,14 +248,18 @@ def sp_dot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.nda
     # round-robin order: consecutive adds hit different rows, and each row
     # still sums its terms in entry order
     perm, rows, cols = obs.round_robin
-    return _scatter_columns(rows, cols, values[perm], x, obs.m)
+    return _scatter_columns(rows, lambda col: col.take(cols), values.take(perm), x, obs.m)
 
 
 def sp_tdot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S^T @ x; x is m x d, result n x d."""
     if _dense_path(obs):
         return _scatter(obs, values).T @ x
-    return _scatter_columns(obs.col_idx, obs.row_idx, values, x, obs.n)
+    # entries are row-sorted, so x[row_idx, k] is each x[i, k] repeated
+    # row_counts[i] times: np.repeat gives it without reading an index array
+    return _scatter_columns(
+        obs.col_idx, lambda col: np.repeat(col, obs.row_counts), values, x, obs.n
+    )
 
 
 def grad_u(r: SparseResidual, v) -> np.ndarray:

@@ -26,14 +26,6 @@ def run_script(name, *args):
     return proc.stdout.splitlines()
 
 
-def test_run_synthetic_benchmark():
-    out = run_script(
-        "run_synthetic_benchmark.py", "--m", 20, "--n", 20, "--rank", 2, "--runs", 1
-    )
-    rows = [line for line in out if line.split()[:1] in (["20%"], ["30%"])]
-    assert len(rows) == 8  # 2 sampling ratios x 2 noise factors x 2 penalties
-
-
 def test_kernel_path_grid_forces_each_path():
     # the script swaps in its own sparse_obs._dense_path, so it must follow
     # that private function's signature and put the rule back afterwards

@@ -550,3 +550,50 @@ def test_sparse_residual_allocates_no_nnz_by_d_block():
     # the nnz result, plus two (block, d) gathers and their index slices
     assert peak <= 8 * 2 * nnz + 8 * 3 * sparse_obs._BLOCK * d
     assert peak < 8 * nnz * d
+
+
+def _with_layout(x, layout):
+    """A copy of x (1-D or 2-D) with the same values in the given memory layout."""
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    if layout == "column-strided":
+        wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
+        wide[..., ::2] = x
+        return wide[..., ::2]
+    x = np.array(x, order="C")
+    if layout == "read-only":
+        x.flags.writeable = False
+    return x
+
+
+_LAYOUT_SETS = {
+    "rows straddle block edges": _BLOCK_SETS["rows straddle block edges"],
+    # rows 0 and 299 empty, so sp_tdot's np.repeat meets zero counts at both ends
+    "first and last rows empty": [r * 250 + c for r in range(1, 299) for c in range(r % 4, 250, 4)],
+}
+
+
+def _kernel_outputs(obs, u, v, values):
+    r = masked_residual(u, v, obs)
+    rv = SparseResidual(obs, values)
+    return [
+        r.values, sp_dot(obs, values, v), sp_tdot(obs, values, u), grad_u(rv, v), grad_v(rv, u)
+    ]
+
+
+@pytest.mark.parametrize("layout", ["fortran", "column-strided", "read-only"])
+@pytest.mark.parametrize("d", [1, 6])
+@pytest.mark.parametrize("name", list(_LAYOUT_SETS))
+def test_sparse_kernels_give_the_same_bits_for_any_factor_layout(name, d, layout):
+    # the take and repeat gathers copy factor rows and columns into new
+    # C-contiguous arrays, so the products and sums see the same operands
+    obs, u, v = _instance(300, 250, _LAYOUT_SETS[name], d, 13)
+    assert not sparse_obs._dense_path(obs)
+    _check_kernels(obs, u, v, dense=False)
+    values = masked_residual(u, v, obs).values
+    reference = _kernel_outputs(obs, u, v, values)
+    got = _kernel_outputs(
+        obs, _with_layout(u, layout), _with_layout(v, layout), _with_layout(values, layout)
+    )
+    for g, ref in zip(got, reference):
+        assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
