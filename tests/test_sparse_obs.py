@@ -569,7 +569,9 @@ def _with_layout(x, layout):
 _LAYOUT_SETS = {
     "rows straddle block edges": _BLOCK_SETS["rows straddle block edges"],
     # rows 0 and 299 empty, so sp_tdot's np.repeat meets zero counts at both ends
-    "first and last rows empty": [r * 250 + c for r in range(1, 299) for c in range(r % 4, 250, 4)],
+    "first and last rows empty": [
+        r * 250 + c for r in range(1, 299) for c in range(r % 4, 250, 4)
+    ],
 }
 
 
