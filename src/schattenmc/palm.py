@@ -60,7 +60,6 @@ from .sparse_obs import (
     SparseObservations,
     _check_pair,
     _residual,
-    grad_u,
     masked_residual,
     sp_dot,
     sp_tdot,
@@ -151,6 +150,9 @@ class OptimalityReport:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
+    """Result of ``solve``; ``optimality`` comes from the final iterate's
+    residual and equals ``optimality_residual(factors, obs, config)``."""
+
     factors: FactorPair
     objective_trace: np.ndarray
     lipschitz_trace: np.ndarray
@@ -246,7 +248,7 @@ class _Iterate(NamedTuple):
 
 def _start(u, v, obs, config: SolverConfig) -> _Iterate:
     """The iterate at the checked factors (u, v)."""
-    r = _residual(u, v, obs)
+    r = masked_residual(u, v, obs).values
     return _Iterate(u, v, _sigma_max(v), r, _reg_term(u, v, config) + 0.5 * float(r @ r))
 
 
@@ -354,20 +356,26 @@ def solve(obs: SparseObservations, config: SolverConfig) -> SolveReport:
         iterations=iterations,
         restarts=restarts,
         converged=converged,
-        optimality=optimality_residual(final, obs, config),
+        optimality=_optimality(final, it.r, obs, config),
     )
 
 
 def optimality_residual(
     fp: FactorPair, obs: SparseObservations, config: SolverConfig
 ) -> OptimalityReport:
-    """First-order diagnostics at (U, V); see OptimalityReport."""
-    r = masked_residual(fp.u, fp.v, obs)
-    q = -grad_u(r, fp.v)  # P_omega(D - U V^T) V
+    """First-order diagnostics at (U, V); see OptimalityReport.  A solve's
+    report, built from its final iterate's residual, equals this at its
+    factors field for field."""
+    return _optimality(fp, masked_residual(fp.u, fp.v, obs).values, obs, config)
+
+
+def _optimality(fp: FactorPair, r: np.ndarray, obs, config: SolverConfig) -> OptimalityReport:
+    """``optimality_residual`` at (U, V) with residual values r there."""
+    q = -sp_dot(obs, r, fp.v)  # P_omega(D - U V^T) V
     coeff = config.reg.shrink_coeff(config.lam)
     q_spectral = sigma_max(q)
     gap = abs(float(np.sum(q * fp.u)) - coeff * nuclear_norm(fp.u))
-    rnorm = math.sqrt(r.sq_norm())
+    rnorm = math.sqrt(float(r @ r))
     if rnorm == 0.0:
         c2 = math.inf
         degenerate = True

@@ -16,10 +16,13 @@ Each picks one of two paths from the shape and |omega| alone:
   scatter-accumulate.  The residual gathers the rows of U and V for one
   block of ``_BLOCK`` entries at a time, so its (block, d) temporaries stay
   in cache and never grow to |omega| x d.  The gathers are numpy's copy
-  primitives, not fancy indexing: ``np.take`` for the residual's row blocks
-  and for ``sp_dot``'s values and columns, and ``np.repeat`` of each column
-  by ``row_counts`` for ``sp_tdot``, whose row-sorted entries need each
-  x[i, k] row_counts[i] times in a row, so it reads no index array.
+  primitives, not fancy indexing: ``np.take`` for the residual's row blocks,
+  and ``np.repeat`` for the two products, which are mirror images.
+  ``sp_tdot`` walks the entries in their (row, col) order, so x[i, k] is
+  needed ``row_counts[i]`` times in a row; ``sp_dot`` walks them in the
+  cached (col, row) order ``SparseObservations.by_column``, so x[j, k] is
+  needed ``col_counts[j]`` times in a row.  Neither reads an index array to
+  gather a factor column.
 
 The first term takes the dense path at density 1/3 and above, where the
 array's 8 m n bytes are no more than the 24 bytes per entry the coordinate
@@ -31,17 +34,18 @@ below density 1/3 no large allocation appears.
 
 The sparse path gives the bits of a plain per-column scatter over the
 (row, col) order and of one unblocked gather.  Each entry's dot product is
-the same ``einsum`` reduction over its d terms in any block.  ``sp_dot``
-adds its terms in the round-robin order ``SparseObservations.round_robin``
-(every row's first entry, then every row's second, ...), so consecutive
-adds hit different rows instead of waiting on the previous add to the same
-row; each row still meets its own entries in (row, col) order, and
-``np.bincount`` accumulates in entry order, so every row sum is added up
-in the same order.  ``np.take`` and ``np.repeat`` copy the same values
-as the fancy-index gathers ``u[rows]`` and ``x[row_idx, k]`` into new
-C-contiguous arrays whatever the factors' layout (Fortran order, strided
-views, read-only), so the einsum and ``np.bincount`` see the same operands
-in the same order and every output keeps its bits.
+the same ``einsum`` reduction over its d terms in any block.  In the (col,
+row) order of ``sp_dot`` each row still meets its own entries in increasing
+column order, which is their (row, col) order, and ``np.bincount`` adds in
+entry order starting from 0.0, so every row sum is added up in the same
+order; consecutive adds within a column hit different rows, so none waits
+on the previous add to its row.  ``np.repeat(x[:, k], col_counts)`` is
+``x[col_idx[perm], k]``, so every product keeps its operands.  ``np.take``
+and ``np.repeat`` copy the same values as the fancy-index gathers
+``u[rows]`` and ``x[idx, k]`` into new C-contiguous arrays whatever the
+factors' layout (Fortran order, strided views, read-only), so the einsum
+and ``np.bincount`` see the same operands in the same order and every
+output keeps its bits.
 
 The public kernels check their factor arguments (2-D, finite, shapes
 matching the set).  The solver checks its inputs once and then calls the
@@ -67,8 +71,9 @@ _madd_count = 0
 
 def kernel_madd_count() -> int:
     """Multiply-adds of public ``masked_residual`` calls since import: nnz * d
-    per call, read as a difference of two counts.  The solver's own
-    residuals (``_residual``) are not counted."""
+    per call, read as a difference of two counts.  ``solve`` and ``step``
+    take their starting residual through ``masked_residual``, so each call
+    adds one; the solver's other residuals (``_residual``) are not counted."""
     return _madd_count
 
 
@@ -126,18 +131,16 @@ class SparseObservations:
         return self.row_idx * self.n + self.col_idx
 
     @functools.cached_property
-    def round_robin(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(perm, rows, cols): the entries ordered by (rank within row, row),
-        so the first entry of every row comes first, then every second
-        entry, and so on; rows and cols are row_idx[perm] and col_idx[perm].
-        Each row keeps its entries' relative order."""
-        starts = np.cumsum(self.row_counts) - self.row_counts
-        rank = np.arange(self.nnz) - np.repeat(starts, self.row_counts)
-        # entries are row-sorted, so a stable sort by rank alone breaks ties
-        # by row; numpy radix-sorts a rank that fits in 16 bits
-        rank = rank.astype(np.min_scalar_type(self.row_counts.max()), copy=False)
-        perm = np.argsort(rank, kind="stable")
-        return perm, self.row_idx[perm], self.col_idx[perm]
+    def by_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(perm, rows, col_counts): the entries in (col, row) order, where
+        perm is a stable argsort of col_idx, rows is row_idx[perm] and
+        col_counts[j] the number of entries in column j, so column j owns the
+        next col_counts[j] entries of that order."""
+        # numpy radix-sorts a key of at most 16 bits; a stable sort by column
+        # keeps each column's entries in row order
+        key = self.col_idx.astype(np.min_scalar_type(self.n - 1), copy=False)
+        perm = np.argsort(key, kind="stable")
+        return perm, self.row_idx.take(perm), np.bincount(self.col_idx, minlength=self.n)
 
     def dense(self) -> np.ndarray:
         """Materialize P_omega(D) (zeros off the observed set)."""
@@ -231,13 +234,14 @@ def masked_residual(u, v, obs: SparseObservations) -> SparseResidual:
     return SparseResidual(obs, values)
 
 
-def _scatter_columns(idx, gather, values, x, rows):
-    # entry e adds values[e] * gather(x[:, k])[e] to out[idx[e], k]; one
-    # contiguous column of x per bincount keeps each gather unit-stride
+def _scatter_columns(idx, counts, values, x, nbins):
+    # entries are sorted so that x's row i owns the next counts[i] of them:
+    # entry e adds values[e] * x[i, k] to out[idx[e], k], and np.repeat gives
+    # each contiguous column of x per entry without reading an index array
     xt = np.ascontiguousarray(x.T)
-    out = np.empty((rows, x.shape[1]))
+    out = np.empty((nbins, x.shape[1]))
     for k in range(x.shape[1]):
-        out[:, k] = np.bincount(idx, weights=gather(xt[k]) * values, minlength=rows)
+        out[:, k] = np.bincount(idx, weights=np.repeat(xt[k], counts) * values, minlength=nbins)
     return out
 
 
@@ -245,21 +249,16 @@ def sp_dot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.nda
     """S @ x for the sparse matrix S with `values` on the obs pattern; x is n x d."""
     if _dense_path(obs):
         return _scatter(obs, values) @ x
-    # round-robin order: consecutive adds hit different rows, and each row
-    # still sums its terms in entry order
-    perm, rows, cols = obs.round_robin
-    return _scatter_columns(rows, lambda col: col.take(cols), values.take(perm), x, obs.m)
+    # (col, row) order: each row still sums its terms in (row, col) order
+    perm, rows, col_counts = obs.by_column
+    return _scatter_columns(rows, col_counts, values.take(perm), x, obs.m)
 
 
 def sp_tdot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S^T @ x; x is m x d, result n x d."""
     if _dense_path(obs):
         return _scatter(obs, values).T @ x
-    # entries are row-sorted, so x[row_idx, k] is each x[i, k] repeated
-    # row_counts[i] times: np.repeat gives it without reading an index array
-    return _scatter_columns(
-        obs.col_idx, lambda col: np.repeat(col, obs.row_counts), values, x, obs.n
-    )
+    return _scatter_columns(obs.col_idx, obs.row_counts, values, x, obs.n)
 
 
 def grad_u(r: SparseResidual, v) -> np.ndarray:

@@ -286,7 +286,24 @@ FAULTS = ["id", "value", "separator", "extra", "short", "blank", "header", "cr"]
 COLON_RUNS = st.sampled_from(["::", ":", ":::", "::::"])
 # the scan's alphabet: colons, digits, line ends, ASCII and non-ASCII
 # whitespace, and a non-ASCII letter
-SCAN_ALPHABET = list(":0123456789\n\r \t\x0b\x1c\x85\xa0\u2028\xe9")
+SCAN_ALPHABET = list(":0123456789\n\r \t\x0b\x0c\x1c\x1f\x85\xa0\u2028\xe9")
+# every ASCII character that can start a whitespace-only line
+LINE_LEADS = list("\t \x0b\x0c\x1c\x1d\x1e\x1f")
+
+
+@st.composite
+def tab_scan_texts(draw):
+    """Lines of tab-separated digit fields, some led by ASCII whitespace,
+    some of them with nothing after it, ended by LF or CR-LF (the last line
+    maybe by neither)."""
+    lines = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        lead = "".join(draw(st.lists(st.sampled_from(LINE_LEADS), max_size=2)))
+        fields = draw(st.lists(st.text("0123456789", min_size=1, max_size=3), max_size=3))
+        lines.append(lead + "\t".join(fields) + draw(st.sampled_from(["\n", "\r\n"])))
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
 
 
 def reference_colons_paired(text):
@@ -428,6 +445,21 @@ class TestParsePaths:
         paired = reference_colons_paired(text)
         assert data._c_reader_safe(text, True) == (paired and not blank_line)
         assert data._c_reader_safe(text, False) == (not blank_line)
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=tab_scan_texts())
+    def test_scan_rule_on_tab_lines_matches_the_string_reference(self, text):
+        # a tab or a leading space fails the byte count, so the line-start
+        # test decides
+        assert data._c_reader_safe(text, False) == (not reference_blank_line(text))
+
+    @pytest.mark.parametrize("lead", LINE_LEADS)
+    def test_scan_rule_on_each_line_lead(self, lead):
+        blank = [lead, lead + "\n", "1\t2\n" + lead + "\r\n", "1\t2\r\n" + lead * 2]
+        led = [lead + "1\t2\n", "1\t2\n" + lead + "3\n", "1\t2\n" + lead + "\t3"]
+        for text in blank + led:
+            assert reference_blank_line(text) == (text in blank)
+            assert data._c_reader_safe(text, False) == (text not in blank)
 
     def test_surrogateescape_stream_parses_as_the_loop(self):
         # a byte that is not UTF-8 reads as a lone surrogate, here '\udcff':

@@ -23,7 +23,7 @@ from schattenmc.palm import (
     svt_prox,
 )
 from schattenmc.quasinorm import FactorPair, Regularizer, optimal_factor_pair
-from schattenmc.sparse_obs import SparseObservations, masked_residual, sample_mask
+from schattenmc.sparse_obs import SparseObservations, grad_u, masked_residual, sample_mask
 
 from conftest import low_rank, philox
 
@@ -126,8 +126,8 @@ class TestLipschitz:
         for _ in range(20):
             u1 = rng.standard_normal((10, 2))
             u2 = rng.standard_normal((10, 2))
-            g1 = palm.grad_u(masked_residual(u1, v, obs), v)
-            g2 = palm.grad_u(masked_residual(u2, v, obs), v)
+            g1 = grad_u(masked_residual(u1, v, obs), v)
+            g2 = grad_u(masked_residual(u2, v, obs), v)
             lhs = frobenius_norm(g1 - g2)
             rhs = lg * frobenius_norm(u1 - u2)
             assert lhs <= rhs * (1 + 1e-10)
@@ -741,6 +741,29 @@ class TestOptimality:
         opt = optimality_residual(exact, obs, cfg)
         assert opt.degenerate
         assert math.isinf(opt.c2)
+
+    # (lam, max_iters, a check of the kind of run) on both trajectory cases
+    SOLVE_KINDS = {
+        "converges": (50.0, 100, lambda rep: rep.converged),
+        "hits max_iters": (1.0, 5, lambda rep: not rep.converged and rep.iterations == 5),
+        "restarts": (20.0, 100, lambda rep: rep.restarts > 0),
+    }
+
+    @pytest.mark.parametrize("kind", list(SOLVE_KINDS))
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    @pytest.mark.parametrize("case", ["dense-30x20", "sparse-257x256"])
+    def test_solve_report_is_the_optimality_residual_of_its_factors(self, case, reg, kind):
+        # solve builds its report from its final residual; the bits are those
+        # of a fresh masked_residual, and the solve makes one public
+        # residual call, which is what perfbench's madds check counts
+        obs, _, _, d, _ = TestReferenceTrajectory().instance(case)
+        lam, max_iters, is_kind = self.SOLVE_KINDS[kind]
+        cfg = SolverConfig(reg=reg, lam=lam, d=d, max_iters=max_iters, seed=5)
+        start = sparse_obs.kernel_madd_count()
+        rep = solve(obs, cfg)
+        assert sparse_obs.kernel_madd_count() - start == obs.nnz * d
+        assert is_kind(rep)
+        assert rep.optimality == optimality_residual(rep.factors, obs, cfg)
 
 
 class TestConfigAndInit:

@@ -102,22 +102,23 @@ class TestSparseObservations:
         assert obs.flat_idx.tolist() == [3, 4, 10]
         assert "flat_idx" in vars(obs)
 
-    def test_dense_path_holds_no_round_robin_order(self):
+    def test_dense_path_holds_no_column_order(self):
         u, v, _, obs = random_instance(8)
         assert sparse_obs._dense_path(obs)
         r = masked_residual(u, v, obs)
         grad_u(r, v)
         grad_v(r, u)
         solve(obs, SolverConfig(reg=Regularizer.BIN, lam=1.0, d=2, max_iters=3))
-        assert "round_robin" not in vars(obs)
+        assert "by_column" not in vars(obs)
 
-    def test_round_robin_order_is_built_by_the_first_sparse_row_sum(self):
+    def test_column_order_is_built_by_the_first_sparse_sp_dot(self):
         u, v, _, obs = random_instance(10, m=300, n=300, d=3, sr=0.01)
+        assert not sparse_obs._dense_path(obs)
         r = masked_residual(u, v, obs)
         grad_v(r, u)
-        assert "round_robin" not in vars(obs)
+        assert "by_column" not in vars(obs)
         grad_u(r, v)
-        assert "round_robin" in vars(obs)
+        assert "by_column" in vars(obs)
 
     @pytest.mark.parametrize(
         "rows, cols",
@@ -126,18 +127,15 @@ class TestSparseObservations:
             ([2], [1]),
             ([0, 0, 0, 1, 3, 3], [0, 1, 3, 2, 0, 2]),
             ([1, 1, 1, 1, 2, 4], [0, 1, 2, 3, 2, 1]),
+            ([0, 1, 2, 3, 4], [3, 3, 3, 3, 3]),  # one column; columns 0-2 empty
         ],
     )
-    def test_round_robin_order(self, rows, cols):
-        obs = SparseObservations(5, 4, rows, cols, np.arange(len(rows), dtype=float))
-        perm, rr_rows, rr_cols = obs.round_robin
-        assert np.array_equal(np.sort(perm), np.arange(obs.nnz))
-        assert np.array_equal(rr_rows, obs.row_idx[perm])
-        assert np.array_equal(rr_cols, obs.col_idx[perm])
-        # ordered by (rank within row, row); each row keeps its entry order
-        rank = perm - (np.cumsum(obs.row_counts) - obs.row_counts)[rr_rows]
-        key = rank * obs.m + rr_rows
-        assert np.all(np.diff(key) > 0)
+    def test_column_order(self, rows, cols):
+        _check_column_order(SparseObservations(5, 4, rows, cols, np.arange(len(rows), dtype=float)))
+
+    def test_column_order_of_large_sets(self):
+        for lin in _LAYOUT_SETS.values():
+            _check_column_order(_instance(300, 250, lin, 1, 14)[0])
 
     def test_sparse_path_holds_no_flat_index(self):
         # 300 x 300 at 1% observed is above 2**16 cells and below density 1/3
@@ -147,6 +145,16 @@ class TestSparseObservations:
         grad_u(r, v)
         grad_v(r, u)
         assert "flat_idx" not in vars(obs)
+
+
+def _check_column_order(obs):
+    perm, by_rows, col_counts = obs.by_column
+    assert np.array_equal(np.sort(perm), np.arange(obs.nnz))
+    assert np.array_equal(by_rows, obs.row_idx[perm])
+    assert np.array_equal(col_counts, np.bincount(obs.col_idx, minlength=obs.n))
+    # ordered by (col, row), so each row keeps its entries' order
+    key = obs.col_idx[perm] * obs.m + by_rows
+    assert np.all(np.diff(key) > 0)
 
 
 def _diagonal_set():
@@ -572,8 +580,17 @@ _LAYOUT_SETS = {
     "first and last rows empty": [
         r * 250 + c for r in range(1, 299) for c in range(r % 4, 250, 4)
     ],
+    # columns 0-9 and 240-249 empty, so sp_dot's np.repeat meets zero counts
+    # at both ends
+    "first and last columns empty": [
+        r * 250 + c for r in range(300) for c in range(10 + r % 5, 240, 5)
+    ],
+    # column 125 holds 300 of the 349 entries, every fifth other column one
+    "one column holds most entries": sorted(
+        [r * 250 + 125 for r in range(300)]
+        + [(c % 300) * 250 + c for c in range(0, 250, 5) if c != 125]
+    ),
 }
-
 
 def _kernel_outputs(obs, u, v, values):
     r = masked_residual(u, v, obs)
@@ -588,7 +605,8 @@ def _kernel_outputs(obs, u, v, values):
 @pytest.mark.parametrize("name", list(_LAYOUT_SETS))
 def test_sparse_kernels_give_the_same_bits_for_any_factor_layout(name, d, layout):
     # the take and repeat gathers copy factor rows and columns into new
-    # C-contiguous arrays, so the products and sums see the same operands
+    # C-contiguous arrays, so the products and sums see the same operands;
+    # _check_kernels holds sp_dot and sp_tdot to the reference scatter
     obs, u, v = _instance(300, 250, _LAYOUT_SETS[name], d, 13)
     assert not sparse_obs._dense_path(obs)
     _check_kernels(obs, u, v, dense=False)
