@@ -245,21 +245,10 @@ def _c_reader_safe(text: str, colons: bool) -> bool:
         if (is_colon[1:-1] & (is_colon[:-2] == is_colon[2:])).any():
             return False
     if text.isascii():
-        if _only_line_ends_below_space(raw):
-            return True
-        # a tab separator fails that count.  A whitespace-only line starts
-        # with a byte below 0x21 other than CR or LF, so the regex is needed
-        # only if a line-start byte (byte 0 or one after an LF) is such a byte
-        lead = raw[1:][(raw[:-1] == _LF) & (raw[1:] < _ABOVE_SPACE)]
-        if _only_line_ends_below_space(np.concatenate((raw[:1], lead))):
+        line_ends = np.count_nonzero(raw == _LF) + np.count_nonzero(raw == _CR)
+        if np.count_nonzero(raw < _ABOVE_SPACE) == line_ends:
             return True
     return not _BLANK_LINE.search("\n" + text)
-
-
-def _only_line_ends_below_space(raw: np.ndarray) -> bool:
-    """Whether every byte below 0x21 in ``raw`` is a CR or an LF."""
-    line_ends = np.count_nonzero(raw == _LF) + np.count_nonzero(raw == _CR)
-    return np.count_nonzero(raw < _ABOVE_SPACE) == line_ends
 
 
 def _stream_c_reader_safe(stream, colons: bool) -> bool:

@@ -71,9 +71,10 @@ _madd_count = 0
 
 def kernel_madd_count() -> int:
     """Multiply-adds of public ``masked_residual`` calls since import: nnz * d
-    per call, read as a difference of two counts.  ``solve`` and ``step``
-    take their starting residual through ``masked_residual``, so each call
-    adds one; the solver's other residuals (``_residual``) are not counted."""
+    per call, read as a difference of two counts.  ``solve`` takes its
+    starting residual through ``masked_residual``, so each solve adds one;
+    ``step`` and the solver's other residuals (``_residual``) are not
+    counted."""
     return _madd_count
 
 

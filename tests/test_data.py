@@ -449,8 +449,8 @@ class TestParsePaths:
     @settings(max_examples=500, deadline=None)
     @given(text=tab_scan_texts())
     def test_scan_rule_on_tab_lines_matches_the_string_reference(self, text):
-        # a tab or a leading space fails the byte count, so the line-start
-        # test decides
+        # a tab or a leading space fails the byte count, so the blank-line
+        # regex decides
         assert data._c_reader_safe(text, False) == (not reference_blank_line(text))
 
     @pytest.mark.parametrize("lead", LINE_LEADS)

@@ -765,6 +765,17 @@ class TestOptimality:
         assert is_kind(rep)
         assert rep.optimality == optimality_residual(rep.factors, obs, cfg)
 
+    @pytest.mark.parametrize("case", ["dense-30x20", "sparse-257x256"])
+    def test_step_makes_no_counted_residual_call(self, case):
+        # step starts from the private residual; only a solve's starting
+        # residual moves the counter
+        obs, _, _, d, _ = TestReferenceTrajectory().instance(case)
+        cfg = SolverConfig(reg=Regularizer.FN, lam=1.0, d=d, seed=5)
+        fp = initial_factors(obs, cfg)
+        start = sparse_obs.kernel_madd_count()
+        step(fp, obs, cfg)
+        assert sparse_obs.kernel_madd_count() == start
+
 
 class TestConfigAndInit:
     def test_config_validation(self):

@@ -592,6 +592,7 @@ _LAYOUT_SETS = {
     ),
 }
 
+
 def _kernel_outputs(obs, u, v, values):
     r = masked_residual(u, v, obs)
     rv = SparseResidual(obs, values)
