@@ -32,8 +32,8 @@ def kernel_cost_us(obs, u, v, dense):
     def iteration():
         r = masked_residual(u, v, obs)
         masked_residual(u, v, obs)
-        sp_dot(obs, r.values, v)
-        sp_tdot(obs, r.values, u)
+        sp_dot(obs, r, v)
+        sp_tdot(obs, r, u)
 
     try:
         return min(timeit.repeat(iteration, number=30, repeat=3)) / 30 * 1e6

@@ -63,7 +63,7 @@ def main(argv=None):
     rng = np.random.default_rng(args.seed + 1)
     for d in args.ds:
         u, v = rng.standard_normal((obs.m, d)), rng.standard_normal((obs.n, d))
-        r = masked_residual(u, v, obs).values
+        r = masked_residual(u, v, obs)
         costs = [
             best_ms(lambda: masked_residual(u, v, obs), args.number, args.repeat),
             best_ms(lambda: sp_dot(obs, r, v), args.number, args.repeat),

@@ -27,10 +27,9 @@ from .linalg import (
     ThinSVD,
     frobenius_norm,
     nuclear_norm,
+    sigma_max,
     thin_svd,
 )
-# exported alias; linalg binds each function under one name only
-from .linalg import sigma_max as spectral_norm
 from .metrics import BoundTerms, bound_terms, psnr, rmse, rse
 from .palm import (
     InitStrategy,
@@ -58,9 +57,6 @@ from .quasinorm import (
 )
 from .sparse_obs import (
     SparseObservations,
-    SparseResidual,
-    grad_u,
-    grad_v,
     masked_residual,
     sample_mask,
 )
@@ -83,7 +79,7 @@ __all__ = [
     "ThinSVD",
     "frobenius_norm",
     "nuclear_norm",
-    "spectral_norm",
+    "sigma_max",
     "thin_svd",
     "BoundTerms",
     "bound_terms",
@@ -111,9 +107,6 @@ __all__ = [
     "schatten_quasi_norm",
     "trace_power",
     "SparseObservations",
-    "SparseResidual",
-    "grad_u",
-    "grad_v",
     "masked_residual",
     "sample_mask",
     "PropertyResult",

@@ -4,8 +4,9 @@ Thin SVDs and singular values go straight to LAPACK through
 ``np.linalg.svd`` (``full_matrices=False`` / ``compute_uv=False``).
 ``singular_values`` takes one matrix or a stack of them, shape
 (..., m, n): LAPACK batches the stack, and each matrix gets the same
-values as a call on it alone.  The spectral norm is the top singular value
-of that route.  A LAPACK convergence failure surfaces as ``NumericalError``.
+values as a call on it alone.  The spectral norm, ``sigma_max``, is the top
+singular value of that route; the package exports it under that one name.
+A LAPACK convergence failure surfaces as ``NumericalError``.
 
 The public functions check their input (2-D or a stack, finite).  The
 unchecked ``_svd``, ``_sigma_max`` and ``_frobenius_norm`` serve callers
@@ -95,14 +96,14 @@ def trim_singular_values(sigma: np.ndarray) -> np.ndarray:
     return s
 
 
-def singular_values(a, trim: bool = True) -> np.ndarray:
-    """Singular values (non-increasing, by LAPACK), optionally trimmed.
+def singular_values(a) -> np.ndarray:
+    """Singular values (non-increasing, by LAPACK), trimmed.
 
     ``a`` is one m x n matrix or a stack (..., m, n); the result has shape
     (..., min(m, n)).
     """
     s = _svd(as_stack(a), compute_uv=False)
-    return trim_singular_values(s) if trim else s
+    return trim_singular_values(s)
 
 
 def sigma_max(a) -> float:

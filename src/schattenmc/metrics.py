@@ -47,7 +47,8 @@ def rmse(fp: FactorPair, test: SparseObservations) -> float:
     """Root mean squared error of u_i . v_j against held-out ratings."""
     if test.nnz == 0:
         raise ValueError("empty test set")
-    return math.sqrt(masked_residual(fp.u, fp.v, test).sq_norm() / test.nnz)
+    r = masked_residual(fp.u, fp.v, test)
+    return math.sqrt(float(r @ r) / test.nnz)
 
 
 def psnr(x, z, max_value: float = 255.0) -> float:

@@ -102,8 +102,9 @@ class InitStrategy(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver inputs: penalty choice, finite lam >= 0, rank bound d, stopping
-    rule, and the initializer's seed (an integer >= 0).
+    """Solver inputs: penalty choice (a ``Regularizer``), finite lam >= 0,
+    rank bound d, stopping rule, and the initializer (an ``InitStrategy``)
+    and its seed (an integer >= 0).
 
     ``epsilon`` is an absolute Frobenius threshold on factor changes.
     """
@@ -117,6 +118,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, kind in (("reg", Regularizer), ("init", InitStrategy)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a member of {kind.__name__}, got {value!r}")
         # written so that nan fails too
         if not 0.0 <= self.lam < math.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
@@ -225,7 +230,7 @@ def _finite(block: np.ndarray, name: str) -> np.ndarray:
 def objective(fp: FactorPair, obs: SparseObservations, config: SolverConfig) -> float:
     """Penalty plus half the squared masked residual norm."""
     r = masked_residual(fp.u, fp.v, obs)
-    return _reg_term(fp.u, fp.v, config) + 0.5 * r.sq_norm()
+    return _reg_term(fp.u, fp.v, config) + 0.5 * float(r @ r)
 
 
 def _add_momentum(block: np.ndarray, x, x_prev, beta: float) -> None:
@@ -323,7 +328,7 @@ def solve(obs: SparseObservations, config: SolverConfig) -> SolveReport:
     try:
         fp0 = initial_factors(obs, config)
         # the solve's one counted residual call (see kernel_madd_count)
-        it = _start(fp0.u, fp0.v, masked_residual(fp0.u, fp0.v, obs).values, config)
+        it = _start(fp0.u, fp0.v, masked_residual(fp0.u, fp0.v, obs), config)
         trace.append(it.objective)
         prev, t = (it.u, it.v), 1.0
         for k in range(config.max_iters):
@@ -366,7 +371,7 @@ def optimality_residual(
     """First-order diagnostics at (U, V); see OptimalityReport.  A solve's
     report, built from its final iterate's residual, equals this at its
     factors field for field."""
-    return _optimality(fp, masked_residual(fp.u, fp.v, obs).values, obs, config)
+    return _optimality(fp, masked_residual(fp.u, fp.v, obs), obs, config)
 
 
 def _optimality(fp: FactorPair, r: np.ndarray, obs, config: SolverConfig) -> OptimalityReport:

@@ -47,10 +47,13 @@ factors' layout (Fortran order, strided views, read-only), so the einsum
 and ``np.bincount`` see the same operands in the same order and every
 output keeps its bits.
 
-The public kernels check their factor arguments (2-D, finite, shapes
-matching the set).  The solver checks its inputs once and then calls the
-unchecked ``_residual``, ``sp_dot`` and ``sp_tdot`` on iterates it made
-itself.
+``masked_residual`` is the one checked kernel: it checks its factors (2-D,
+finite, shapes matching the set) and returns the residual as its nnz values
+in entry order, the one form every caller passes on.  ``sp_dot`` and
+``sp_tdot`` check nothing and are not exported from the package root; they
+serve callers that hold checked float64 arrays, such as the solver, which
+checks its inputs once and then calls them and the unchecked ``_residual``
+on iterates it made itself.
 """
 
 from __future__ import annotations
@@ -97,8 +100,12 @@ class SparseObservations:
             if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
                 raise ValueError(f"{name} must be a positive integer, got {dim!r}")
             object.__setattr__(self, name, int(dim))
-        rows = np.asarray(self.row_idx, dtype=np.int64)
-        cols = np.asarray(self.col_idx, dtype=np.int64)
+        rows, cols = np.asarray(self.row_idx), np.asarray(self.col_idx)
+        for name, idx in (("row_idx", rows), ("col_idx", cols)):
+            # a float or bool index would be truncated or read as 0/1
+            if idx.size and idx.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers, got dtype {idx.dtype}")
+        rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
         vals = np.asarray(self.values, dtype=np.float64)
         if not (rows.ndim == cols.ndim == vals.ndim == 1):
             raise ValueError("entry arrays must be 1-D")
@@ -146,23 +153,6 @@ class SparseObservations:
     def dense(self) -> np.ndarray:
         """Materialize P_omega(D) (zeros off the observed set)."""
         return _scatter(self, self.values)
-
-
-@dataclass(frozen=True, eq=False)
-class SparseResidual:
-    """Values of U V^T - D on the index set of a parent SparseObservations."""
-
-    obs: SparseObservations
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.obs.nnz,):
-            raise ValueError("residual values must match the parent index set")
-        object.__setattr__(self, "values", vals)
-
-    def sq_norm(self) -> float:
-        return float(self.values @ self.values)
 
 
 def _check_factor(x, rows, d_expected, name):
@@ -226,13 +216,14 @@ def _residual(u: np.ndarray, v: np.ndarray, obs: SparseObservations) -> np.ndarr
     return out
 
 
-def masked_residual(u, v, obs: SparseObservations) -> SparseResidual:
-    """P_omega(U V^T) - P_omega(D), materialized on the observed set only."""
+def masked_residual(u, v, obs: SparseObservations) -> np.ndarray:
+    """Values of P_omega(U V^T) - P_omega(D) on the observed set: a float64
+    array of length nnz in the set's entry order."""
     global _madd_count
     u, v = _check_pair(u, v, obs)
     values = _residual(u, v, obs)
     _madd_count += obs.nnz * u.shape[1]
-    return SparseResidual(obs, values)
+    return values
 
 
 def _scatter_columns(idx, counts, values, x, nbins):
@@ -247,7 +238,12 @@ def _scatter_columns(idx, counts, values, x, nbins):
 
 
 def sp_dot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """S @ x for the sparse matrix S with `values` on the obs pattern; x is n x d."""
+    """S @ x for the sparse matrix S with `values` on the obs pattern; x is n x d.
+
+    With the residual values R, R @ V is the gradient of the masked
+    half-squared loss in U.  Unchecked: ``values`` must be float64 of length
+    nnz and ``x`` a finite float64 n x d array.
+    """
     if _dense_path(obs):
         return _scatter(obs, values) @ x
     # (col, row) order: each row still sums its terms in (row, col) order
@@ -256,22 +252,14 @@ def sp_dot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.nda
 
 
 def sp_tdot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """S^T @ x; x is m x d, result n x d."""
+    """S^T @ x; x is m x d, result n x d.
+
+    With the residual values R, R^T @ U is the gradient of the masked
+    half-squared loss in V.  Unchecked, as ``sp_dot``.
+    """
     if _dense_path(obs):
         return _scatter(obs, values).T @ x
     return _scatter_columns(obs.col_idx, obs.row_counts, values, x, obs.n)
-
-
-def grad_u(r: SparseResidual, v) -> np.ndarray:
-    """R @ V: gradient of the masked half-squared loss with respect to U."""
-    v = _check_factor(v, r.obs.n, None, "v")
-    return sp_dot(r.obs, r.values, v)
-
-
-def grad_v(r: SparseResidual, u) -> np.ndarray:
-    """R^T @ U: gradient of the masked half-squared loss with respect to V."""
-    u = _check_factor(u, r.obs.m, None, "u")
-    return sp_tdot(r.obs, r.values, u)
 
 
 def _partial_fisher_yates(total: int, k: int, rng) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schattenmc import spectral_norm
+from schattenmc import sigma_max
 from schattenmc.linalg import (
     NumericalError,
     frobenius_norm,
@@ -89,30 +89,30 @@ class TestThinSvd:
 
 class TestSpectralNorm:
     def test_diagonal(self):
-        assert spectral_norm(np.diag([5.0, 2.0, 1.0])) == pytest.approx(5.0, rel=1e-10)
+        assert sigma_max(np.diag([5.0, 2.0, 1.0])) == pytest.approx(5.0, rel=1e-10)
 
     def test_zero(self):
-        assert spectral_norm(np.zeros((4, 4))) == 0.0
+        assert sigma_max(np.zeros((4, 4))) == 0.0
 
     def test_empty(self):
-        assert spectral_norm(np.zeros((0, 3))) == 0.0
-        assert spectral_norm(np.zeros((3, 0))) == 0.0
+        assert sigma_max(np.zeros((0, 3))) == 0.0
+        assert sigma_max(np.zeros((3, 0))) == 0.0
 
     def test_matches_svd_oracle(self):
         a = philox(11).standard_normal((10, 4))
         top = thin_svd(a).singular_values[0]
-        assert spectral_norm(a) == pytest.approx(top, rel=1e-9)
+        assert sigma_max(a) == pytest.approx(top, rel=1e-9)
 
     def test_transpose_symmetry(self):
         rng = philox(13)
         for _ in range(20):
             a = rng.standard_normal((int(rng.integers(2, 12)), int(rng.integers(2, 12))))
-            assert spectral_norm(a) == pytest.approx(spectral_norm(a.T), rel=1e-10)
+            assert sigma_max(a) == pytest.approx(sigma_max(a.T), rel=1e-10)
 
     def test_null_start_recovery(self):
         # rank 1, with the all-ones vector in the null space
         a = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert spectral_norm(a) == pytest.approx(2.0, rel=1e-9)
+        assert sigma_max(a) == pytest.approx(2.0, rel=1e-9)
 
 
 class TestNuclearNorm:
@@ -136,7 +136,7 @@ class TestFrobeniusNorm:
 
     def test_matches_singular_values(self):
         a = philox(19).standard_normal((7, 5))
-        s = singular_values(a, trim=False)
+        s = np.linalg.svd(a, compute_uv=False)
         assert frobenius_norm(a) == pytest.approx(np.sqrt(np.sum(s**2)), rel=1e-10)
 
 

@@ -14,9 +14,6 @@ from schattenmc.palm import SolverConfig, solve
 from schattenmc.quasinorm import FactorPair, Regularizer
 from schattenmc.sparse_obs import (
     SparseObservations,
-    SparseResidual,
-    grad_u,
-    grad_v,
     kernel_madd_count,
     masked_residual,
     sample_mask,
@@ -83,6 +80,31 @@ class TestSparseObservations:
         with pytest.raises(ValueError, match="positive integer"):
             SparseObservations(m, n, [], [], [])
 
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            ([0.7, 1.9], [1.2, 0.0]),  # would truncate to rows [0, 1], cols [1, 0]
+            ([0, 1], [1.0, 0.0]),
+            ([False, True], [1, 0]),
+            (np.array([0, 1], dtype=object), [1, 0]),
+        ],
+    )
+    def test_rejects_non_integer_indices(self, rows, cols):
+        with pytest.raises(ValueError, match="must hold integers"):
+            SparseObservations(2, 2, rows, cols, [1.0, 2.0])
+
+    def test_integer_indices_of_any_width(self):
+        for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+            obs = SparseObservations(2, 2, np.array([0, 1], dtype), np.array([1, 0], dtype), [1.0, 2.0])
+            assert obs.row_idx.dtype == obs.col_idx.dtype == np.int64
+            assert obs.row_idx.tolist() == [0, 1] and obs.col_idx.tolist() == [1, 0]
+        empty = SparseObservations(2, 2, [], [], [])
+        assert empty.nnz == 0 and empty.row_idx.dtype == np.int64
+        # int64 arrays, such as a split's, are kept, not copied
+        rows, cols = np.array([0, 1], np.int64), np.array([1, 0], np.int64)
+        obs = SparseObservations(2, 2, rows, cols, [1.0, 2.0])
+        assert obs.row_idx is rows and obs.col_idx is cols
+
     def test_numpy_integer_dimensions(self):
         obs = SparseObservations(np.int64(2), np.int32(3), [1], [2], [1.0])
         assert (obs.m, obs.n) == (2, 3) and type(obs.m) is int and type(obs.n) is int
@@ -106,8 +128,8 @@ class TestSparseObservations:
         u, v, _, obs = random_instance(8)
         assert sparse_obs._dense_path(obs)
         r = masked_residual(u, v, obs)
-        grad_u(r, v)
-        grad_v(r, u)
+        sp_dot(obs, r, v)
+        sp_tdot(obs, r, u)
         solve(obs, SolverConfig(reg=Regularizer.BIN, lam=1.0, d=2, max_iters=3))
         assert "by_column" not in vars(obs)
 
@@ -115,9 +137,9 @@ class TestSparseObservations:
         u, v, _, obs = random_instance(10, m=300, n=300, d=3, sr=0.01)
         assert not sparse_obs._dense_path(obs)
         r = masked_residual(u, v, obs)
-        grad_v(r, u)
+        sp_tdot(obs, r, u)
         assert "by_column" not in vars(obs)
-        grad_u(r, v)
+        sp_dot(obs, r, v)
         assert "by_column" in vars(obs)
 
     @pytest.mark.parametrize(
@@ -142,8 +164,8 @@ class TestSparseObservations:
         u, v, _, obs = random_instance(9, m=300, n=300, d=3, sr=0.01)
         assert not sparse_obs._dense_path(obs)
         r = masked_residual(u, v, obs)
-        grad_u(r, v)
-        grad_v(r, u)
+        sp_dot(obs, r, v)
+        sp_tdot(obs, r, u)
         assert "flat_idx" not in vars(obs)
 
 
@@ -165,7 +187,6 @@ def _diagonal_set():
 # every field to the one the previous call built
 ARRAY_DATACLASSES = {
     "SparseObservations": _diagonal_set,
-    "SparseResidual": lambda: SparseResidual(_diagonal_set(), [0.5, 0.5, 0.5]),
     "FactorPair": lambda: FactorPair(np.ones((3, 2)), np.ones((3, 2))),
     "ThinSVD": lambda: thin_svd(np.eye(3)),
     "SolveReport": lambda: solve(
@@ -192,7 +213,8 @@ class TestMaskedResidual:
     def test_zero_factors_give_negated_values(self):
         _, _, dense, obs = random_instance(1)
         r = masked_residual(np.zeros((10, 2)), np.zeros((8, 2)), obs)
-        assert np.array_equal(r.values, -obs.values)
+        assert r.shape == (obs.nnz,) and r.dtype == np.float64
+        assert np.array_equal(r, -obs.values)
 
     def test_exact_fit_is_zero(self):
         rng = philox(2)
@@ -202,7 +224,7 @@ class TestMaskedResidual:
         rows, cols = np.divmod(np.arange(9), 3)
         obs = SparseObservations(3, 3, rows, cols, dense[rows, cols])
         r = masked_residual(u, v, obs)
-        assert np.abs(r.values).max() < 1e-12
+        assert np.abs(r).max() < 1e-12
 
     def test_matches_dense_oracle(self):
         u, v, dense, obs = random_instance(3)
@@ -210,8 +232,8 @@ class TestMaskedResidual:
         mask = np.zeros((10, 8))
         mask[obs.row_idx, obs.col_idx] = 1.0
         expected = (u @ v.T - dense) * mask
-        assert np.abs(r.values - expected[obs.row_idx, obs.col_idx]).max() < 1e-12
-        assert r.sq_norm() == pytest.approx(np.sum(expected**2), rel=1e-12)
+        assert np.abs(r - expected[obs.row_idx, obs.col_idx]).max() < 1e-12
+        assert float(r @ r) == pytest.approx(np.sum(expected**2), rel=1e-12)
 
     def test_dimension_mismatch(self):
         _, _, _, obs = random_instance(4)
@@ -226,7 +248,7 @@ class TestMaskedResidual:
 
 
 class TestBoundaryChecks:
-    """The public kernels reject non-finite factors and mismatched shapes."""
+    """masked_residual rejects non-finite factors and mismatched shapes."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", ["u", "v"])
@@ -236,17 +258,6 @@ class TestBoundaryChecks:
         with pytest.raises(ValueError, match="non-finite"):
             masked_residual(u, v, obs)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_gradients_reject_non_finite(self, bad):
-        u, v, _, obs = random_instance(22)
-        r = masked_residual(u, v, obs)
-        u[0, 1] = bad
-        v[0, 1] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            grad_u(r, v)
-        with pytest.raises(ValueError, match="non-finite"):
-            grad_v(r, u)
-
     def test_shape_mismatches(self):
         u, v, _, obs = random_instance(23)
         for bad_u, bad_v in [
@@ -254,34 +265,27 @@ class TestBoundaryChecks:
         ]:
             with pytest.raises(ValueError):
                 masked_residual(bad_u, bad_v, obs)
-        r = masked_residual(u, v, obs)
-        for bad in (v[:-1], v[:, 0], v[None]):
-            with pytest.raises(ValueError):
-                grad_u(r, bad)
-        for bad in (u[:-1], u[:, 0], u[None]):
-            with pytest.raises(ValueError):
-                grad_v(r, bad)
 
 
 class TestGradients:
+    """sp_dot(obs, r, v) and sp_tdot(obs, r, u) are the loss gradients R V
+    and R^T U at the residual values r."""
+
     def test_zero_residual_zero_gradient(self):
         _, v, _, obs = random_instance(6)
-        r = SparseResidual(obs, np.zeros(obs.nnz))
-        assert np.all(grad_u(r, v) == 0.0)
+        assert np.all(sp_dot(obs, np.zeros(obs.nnz), v) == 0.0)
 
     def test_single_entry_expansion(self):
         obs = SparseObservations(2, 2, [0], [0], [0.0])
-        r = SparseResidual(obs, np.array([2.0]))
         v = np.array([[3.0, 1.0], [0.0, 0.0]])
-        g = grad_u(r, v)
+        g = sp_dot(obs, np.array([2.0]), v)
         assert g[0].tolist() == [6.0, 2.0]
         assert np.all(g[1] == 0.0)
 
     def test_single_entry_grad_v(self):
         obs = SparseObservations(2, 2, [0], [1], [0.0])
-        r = SparseResidual(obs, np.array([2.0]))
         u = np.array([[1.0, 4.0], [0.0, 0.0]])
-        g = grad_v(r, u)
+        g = sp_tdot(obs, np.array([2.0]), u)
         assert g[1].tolist() == [2.0, 8.0]
         assert np.all(g[0] == 0.0)
 
@@ -291,19 +295,20 @@ class TestGradients:
         mask = np.zeros((10, 8))
         mask[obs.row_idx, obs.col_idx] = 1.0
         rd = (u @ v.T - dense) * mask
-        assert np.abs(grad_u(r, v) - rd @ v).max() < 1e-12
-        assert np.abs(grad_v(r, u) - rd.T @ u).max() < 1e-12
+        assert np.abs(sp_dot(obs, r, v) - rd @ v).max() < 1e-12
+        assert np.abs(sp_tdot(obs, r, u) - rd.T @ u).max() < 1e-12
 
     def test_finite_difference_oracle(self):
         for seed in range(5):
             u, v, dense, obs = random_instance(100 + seed)
 
             def loss(uu, vv):
-                return 0.5 * masked_residual(uu, vv, obs).sq_norm()
+                r = masked_residual(uu, vv, obs)
+                return 0.5 * float(r @ r)
 
             r = masked_residual(u, v, obs)
-            gu = grad_u(r, v)
-            gv = grad_v(r, u)
+            gu = sp_dot(obs, r, v)
+            gv = sp_tdot(obs, r, u)
             h = 1e-6
             fd_u = np.zeros_like(u)
             for i in range(u.shape[0]):
@@ -399,13 +404,11 @@ def _check_kernels(obs, u, v, dense):
     r = masked_residual(u, v, obs)
     assert kernel_madd_count() - start == obs.nnz * u.shape[1]
     products = [
-        (sp_dot(obs, r.values, v), r_dense @ v, reference_sp_dot(obs, r.values, v)),
-        (sp_tdot(obs, r.values, u), r_dense.T @ u, reference_sp_tdot(obs, r.values, u)),
-        (grad_u(r, v), r_dense @ v, reference_sp_dot(obs, r.values, v)),
-        (grad_v(r, u), r_dense.T @ u, reference_sp_tdot(obs, r.values, u)),
+        (sp_dot(obs, r, v), r_dense @ v, reference_sp_dot(obs, r, v)),
+        (sp_tdot(obs, r, u), r_dense.T @ u, reference_sp_tdot(obs, r, u)),
     ]
     tol = dict(rtol=1e-12, atol=1e-9)
-    assert np.allclose(r.values, r_dense[obs.row_idx, obs.col_idx], **tol)
+    assert np.allclose(r, r_dense[obs.row_idx, obs.col_idx], **tol)
     for got, oracle, reference in products:
         assert got.shape == oracle.shape and got.dtype == np.float64
         assert np.allclose(got, oracle, **tol)
@@ -413,7 +416,7 @@ def _check_kernels(obs, u, v, dense):
             assert np.array_equal(got, reference)
     if not dense:
         pred = np.einsum("ij,ij->i", u[obs.row_idx], v[obs.col_idx])
-        assert np.array_equal(r.values, pred - obs.values)
+        assert np.array_equal(r, pred - obs.values)
 
 
 def _min_dense_nnz(m, n):
@@ -488,14 +491,14 @@ class TestKernelPaths:
     def test_dense_residual_at_d1_is_the_outer_product(self):
         obs, u, v = _instance(100, 100, range(0, 10**4, 2), 1, 7)
         assert sparse_obs._dense_path(obs)
-        r = masked_residual(u, v, obs).values
+        r = masked_residual(u, v, obs)
         outer = np.outer(u[:, 0], v[:, 0])[obs.row_idx, obs.col_idx]
         assert np.array_equal(r, outer - obs.values)
         # zero data and signed-zero factors: the residual is the product's own
         # bits, which must be those of `@` (0.0 + u v, never -0.0)
         zero = SparseObservations(obs.m, obs.n, obs.row_idx, obs.col_idx, np.zeros(obs.nnz))
         u[::3] = -0.0
-        got = masked_residual(u, v, zero).values
+        got = masked_residual(u, v, zero)
         assert got.tobytes() == (u @ v.T)[zero.row_idx, zero.col_idx].tobytes()
 
     @pytest.mark.parametrize(
@@ -594,11 +597,7 @@ _LAYOUT_SETS = {
 
 
 def _kernel_outputs(obs, u, v, values):
-    r = masked_residual(u, v, obs)
-    rv = SparseResidual(obs, values)
-    return [
-        r.values, sp_dot(obs, values, v), sp_tdot(obs, values, u), grad_u(rv, v), grad_v(rv, u)
-    ]
+    return [masked_residual(u, v, obs), sp_dot(obs, values, v), sp_tdot(obs, values, u)]
 
 
 @pytest.mark.parametrize("layout", ["fortran", "column-strided", "read-only"])
@@ -611,7 +610,7 @@ def test_sparse_kernels_give_the_same_bits_for_any_factor_layout(name, d, layout
     obs, u, v = _instance(300, 250, _LAYOUT_SETS[name], d, 13)
     assert not sparse_obs._dense_path(obs)
     _check_kernels(obs, u, v, dense=False)
-    values = masked_residual(u, v, obs).values
+    values = masked_residual(u, v, obs)
     reference = _kernel_outputs(obs, u, v, values)
     got = _kernel_outputs(
         obs, _with_layout(u, layout), _with_layout(v, layout), _with_layout(values, layout)
