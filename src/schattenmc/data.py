@@ -6,12 +6,14 @@ users (rows) and items (columns) plus the original ids, so the solver, the
 split and ``metrics.rmse`` all read the same sorted coordinate arrays.
 
 Ratings are read by numpy's C text reader, ``np.loadtxt``, in one pass over
-the stream, after one numpy pass over each block's bytes has ruled out the
-lines it would read differently.  A Python loop over the lines is the
-fallback: it reads every stream the C reader declines and raises every
-``DataFormatError``, and both give the same result for every input.  Ids
-are remapped by a presence table where they are dense, and duplicate
-(user, item) lines are resolved by one sort of their keys.
+the stream.  A "double-colon" stream is first scanned, one numpy pass over
+each block's bytes, for a stray ':', which the reader would split on.  A
+Python loop over the lines is the fallback: it reads every stream the C
+reader declines or rejects (a whitespace-only line is rejected once the
+reader reaches it) and raises every ``DataFormatError``, and both give the
+same result for every input.  Ids are remapped by a presence table where
+they are dense, and duplicate (user, item) lines are resolved by one sort
+of their keys.
 """
 
 from __future__ import annotations
@@ -222,57 +224,43 @@ def _parse_lines(stream, fmt):
     )
 
 
-# a line of whitespace alone, which the line loop skips and np.loadtxt rejects;
-# a CR before the newline is the line ending, not its content
-_BLANK_LINE = re.compile(r"\n[^\S\r\n]+(?=\r?(?:\n|\Z))")
-_COLON, _LF, _CR = ord(":"), ord("\n"), ord("\r")
-# bytes below this are the ASCII controls and the space: besides CR and LF,
-# the only ASCII characters that can make a whitespace-only line
-_ABOVE_SPACE = ord(" ") + 1
+_COLON = ord(":")
 
 
-def _c_reader_safe(text: str, colons: bool) -> bool:
-    """Whether ``text``, a run of whole lines, holds no whitespace-only line
-    and, with ``colons``, no single ':' and no ':::', so that every ':' is
-    a half of a "::"."""
+def _colons_paired(text: str) -> bool:
+    """Whether ``text`` holds no single ':' and no ':::', so that every ':'
+    is a half of a "::"."""
     # a lone surrogate (a surrogateescape stream) encodes to bytes without ':'
     raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    if colons:
-        # every ':' has exactly one ':' neighbour; a ':' byte never occurs
-        # inside a multi-byte UTF-8 character
-        is_colon = np.zeros(raw.size + 2, dtype=bool)
-        np.equal(raw, _COLON, out=is_colon[1:-1])
-        if (is_colon[1:-1] & (is_colon[:-2] == is_colon[2:])).any():
-            return False
-    if text.isascii():
-        line_ends = np.count_nonzero(raw == _LF) + np.count_nonzero(raw == _CR)
-        if np.count_nonzero(raw < _ABOVE_SPACE) == line_ends:
-            return True
-    return not _BLANK_LINE.search("\n" + text)
+    # every ':' has exactly one ':' neighbour; a ':' byte never occurs
+    # inside a multi-byte UTF-8 character
+    is_colon = np.zeros(raw.size + 2, dtype=bool)
+    np.equal(raw, _COLON, out=is_colon[1:-1])
+    return not (is_colon[1:-1] & (is_colon[:-2] == is_colon[2:])).any()
 
 
-def _stream_c_reader_safe(stream, colons: bool) -> bool:
-    """``_c_reader_safe`` over the rest of the stream, read in blocks cut at
-    their last newline, so that no '::' or line is split across two blocks."""
+def _stream_colons_paired(stream) -> bool:
+    """``_colons_paired`` over the rest of the stream, read in blocks cut at
+    their last newline, so that no '::' is split across two blocks."""
     tail = ""
     while block := stream.read(_SCAN_CHARS):
         block = tail + block
         cut = block.rfind("\n") + 1
-        if not _c_reader_safe(block[:cut], colons):
+        if not _colons_paired(block[:cut]):
             return False
         tail = block[cut:]
-    return _c_reader_safe(tail, colons)
+    return _colons_paired(tail)
 
 
 def _read_table(stream, fmt, start):
     """One ``np.loadtxt`` pass from ``start``; None where its result could
     differ from the line loop's."""
     delimiter, usecols = _TABLE_COLUMNS[fmt]
-    # a whitespace-only line would fail the pass only once it is reached, and
-    # ':' as the delimiter would read "1::2::3:4::5" as (1, 2, 3)
-    if not _stream_c_reader_safe(stream, fmt == "double-colon"):
-        return None
-    stream.seek(start)
+    if fmt == "double-colon":
+        # ':' as the delimiter would read "1::2::3:4::5" as (1, 2, 3)
+        if not _stream_colons_paired(stream):
+            return None
+        stream.seek(start)
     if fmt == "csv" and not _is_csv_header(stream.readline()):
         stream.seek(start)
     with warnings.catch_warnings():
@@ -342,6 +330,9 @@ class GrayImage:
         if px.ndim != 2:
             raise ValueError(f"pixels must be 2-D, got shape {px.shape}")
         if px.dtype != np.uint8:
+            # astype would turn nan into 0 and 1.7 into 1
+            if not (np.isfinite(px) & (px == np.trunc(px))).all():
+                raise ValueError("pixel values must be finite whole numbers")
             if px.min() < 0 or px.max() > 255:
                 raise ValueError("pixel values outside [0, 255]")
             px = px.astype(np.uint8)

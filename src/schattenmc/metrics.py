@@ -53,6 +53,8 @@ def rmse(fp: FactorPair, test: SparseObservations) -> float:
 
 def psnr(x, z, max_value: float = 255.0) -> float:
     """10 log10(max_value^2 / MSE) in dB; +inf for identical inputs."""
+    if not 0.0 < max_value < math.inf:  # written so that nan fails too
+        raise ValueError(f"max_value must be finite and positive, got {max_value}")
     x = as_matrix(x, "x")
     z = as_matrix(z, "z")
     if x.shape != z.shape:

@@ -19,6 +19,7 @@ reuse it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -112,15 +113,15 @@ def schatten_quasi_norm(x, p: float) -> float:
     """(sum sigma_i^p)^(1/p) over the (noise-trimmed) singular values.
 
     Coincides with the nuclear norm at p = 1 and the Frobenius norm at
-    p = 2.  Requires p > 0.
+    p = 2.  Requires finite p > 0.
     """
     return spectrum_quasi_norm(singular_values(as_matrix(x)), p)
 
 
 def spectrum_quasi_norm(s, p: float) -> float:
     """(sum s_i^p)^(1/p) over the positive entries of a spectrum ``s``."""
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    if not 0.0 < p < math.inf:  # written so that nan fails too
+        raise ValueError(f"p must be finite and positive, got {p}")
     s = s[s > 0.0]
     if s.size == 0:
         return 0.0
@@ -189,8 +190,8 @@ def trace_power(b, p: float) -> float:
     Diagonal entries in [-1e-12, 0) are clamped to zero; materially
     negative entries are rejected.
     """
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    if not 0.0 < p < math.inf:  # written so that nan fails too
+        raise ValueError(f"p must be finite and positive, got {p}")
     b = as_matrix(b)
     if b.shape[0] != b.shape[1]:
         raise ValueError(f"trace_power requires a square matrix, got {b.shape}")

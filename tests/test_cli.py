@@ -224,10 +224,10 @@ class TestComplete:
 
     @pytest.mark.parametrize(
         "tail",
-        # "" keeps the C reader's path; a whitespace-only last line makes that
-        # reader decline, so the line loop reads the file after a rewind
+        # "" keeps the C reader's path; the C reader rejects a whitespace-only
+        # last line on reaching it, so the line loop reads the file after a rewind
         ["", " \n"],
-        ids=["table-reader", "line-loop"],
+        ids=["table-reader", "rejected-then-line-loop"],
     )
     def test_byte_order_mark_is_skipped(self, tmp_path, tail):
         reports = []

@@ -1,6 +1,5 @@
 import io
 import math
-import re
 import warnings
 
 import numpy as np
@@ -287,33 +286,11 @@ COLON_RUNS = st.sampled_from(["::", ":", ":::", "::::"])
 # the scan's alphabet: colons, digits, line ends, ASCII and non-ASCII
 # whitespace, and a non-ASCII letter
 SCAN_ALPHABET = list(":0123456789\n\r \t\x0b\x0c\x1c\x1f\x85\xa0\u2028\xe9")
-# every ASCII character that can start a whitespace-only line
-LINE_LEADS = list("\t \x0b\x0c\x1c\x1d\x1e\x1f")
-
-
-@st.composite
-def tab_scan_texts(draw):
-    """Lines of tab-separated digit fields, some led by ASCII whitespace,
-    some of them with nothing after it, ended by LF or CR-LF (the last line
-    maybe by neither)."""
-    lines = []
-    for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        lead = "".join(draw(st.lists(st.sampled_from(LINE_LEADS), max_size=2)))
-        fields = draw(st.lists(st.text("0123456789", min_size=1, max_size=3), max_size=3))
-        lines.append(lead + "\t".join(fields) + draw(st.sampled_from(["\n", "\r\n"])))
-    if draw(st.booleans()):
-        lines[-1] = lines[-1].rstrip("\r\n")
-    return "".join(lines)
 
 
 def reference_colons_paired(text):
     """No single ':' and no ':::', by counting."""
     return ":::" not in text and text.count(":") == 2 * text.count("::")
-
-
-def reference_blank_line(text):
-    """A whitespace-only line, CR-LF ended or not, anywhere in ``text``."""
-    return re.search(r"\n[^\S\r\n]+(?=\r?(?:\n|\Z))", "\n" + text) is not None
 
 
 @st.composite
@@ -397,7 +374,7 @@ class TestParsePaths:
             ("1::99999999999999999999::3\n", "double-colon"),  # id outside int64
             ("1::2::3e400\n", "double-colon"),  # parses to inf
             ("1::2::nan\n", "double-colon"),
-            ("1\t2\t3\n \n", "tab"),  # whitespace-only line
+            ("1\t2\t3\n \n", "tab"),  # whitespace-only line: the C reader rejects it
             ("\ufeff1,2,3\n", "csv"),  # byte-order mark
             (CSV_HEADER + "\n", "csv"),  # no rows
             ("", "tab"),  # no data: the C reader warns
@@ -431,35 +408,15 @@ class TestParsePaths:
 
     def test_scan_blocks_cut_at_newlines(self, monkeypatch):
         monkeypatch.setattr(data, "_SCAN_CHARS", 5)  # splits most '::' across reads
-        scan = data._stream_c_reader_safe
-        assert scan(io.StringIO("12::34::5\n6::7::8::9\n"), True)
-        assert not scan(io.StringIO("12::34::5\n6::7:8::9"), True)
-        assert not scan(io.StringIO("12::34::5\n6::7::::9"), True)
-        assert not scan(io.StringIO("12::34::5\n \n6::7::8\n"), True)
-        assert not scan(io.StringIO("12\t34\t5\n\t\n"), False)
+        scan = data._stream_colons_paired
+        assert scan(io.StringIO("12::34::5\n6::7::8::9\n"))
+        assert not scan(io.StringIO("12::34::5\n6::7:8::9"))
+        assert not scan(io.StringIO("12::34::5\n6::7::::9"))
 
     @settings(max_examples=500, deadline=None)
     @given(text=st.text(st.sampled_from(SCAN_ALPHABET), max_size=40))
     def test_scan_rule_matches_the_string_reference(self, text):
-        blank_line = reference_blank_line(text)
-        paired = reference_colons_paired(text)
-        assert data._c_reader_safe(text, True) == (paired and not blank_line)
-        assert data._c_reader_safe(text, False) == (not blank_line)
-
-    @settings(max_examples=500, deadline=None)
-    @given(text=tab_scan_texts())
-    def test_scan_rule_on_tab_lines_matches_the_string_reference(self, text):
-        # a tab or a leading space fails the byte count, so the blank-line
-        # regex decides
-        assert data._c_reader_safe(text, False) == (not reference_blank_line(text))
-
-    @pytest.mark.parametrize("lead", LINE_LEADS)
-    def test_scan_rule_on_each_line_lead(self, lead):
-        blank = [lead, lead + "\n", "1\t2\n" + lead + "\r\n", "1\t2\r\n" + lead * 2]
-        led = [lead + "1\t2\n", "1\t2\n" + lead + "3\n", "1\t2\n" + lead + "\t3"]
-        for text in blank + led:
-            assert reference_blank_line(text) == (text in blank)
-            assert data._c_reader_safe(text, False) == (text not in blank)
+        assert data._colons_paired(text) == reference_colons_paired(text)
 
     def test_surrogateescape_stream_parses_as_the_loop(self):
         # a byte that is not UTF-8 reads as a lone surrogate, here '\udcff':
@@ -470,31 +427,50 @@ class TestParsePaths:
                 for cls in (io.BytesIO, _Unseekable)
             )
             assert outcome(fast, "double-colon") == outcome(loop, "double-colon")
-        assert data._c_reader_safe("1::\udcff::3\n", True)
-        assert not data._c_reader_safe("1::\udcff:3\n", True)
+        assert data._colons_paired("1::\udcff::3\n")
+        assert not data._colons_paired("1::\udcff:3\n")
 
-    def test_whitespace_only_line_declines_before_the_c_reader(self, monkeypatch):
+    def test_whitespace_only_line_fails_one_c_reader_pass(self, monkeypatch):
         real, calls = np.loadtxt, []
 
         def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+            try:
+                table = real(*args, **kwargs)
+            except ValueError:
+                calls.append("failed")
+                raise
+            calls.append("read")
+            return table
 
         monkeypatch.setattr(np, "loadtxt", counted)
         for fmt in FORMATS:
             text = random_ratings_text(11).replace("::", SEPARATORS[fmt])
             calls.clear()
             clean = outcome(text_stream(text), fmt)
-            assert clean[0] == "ok" and len(calls) == 1
-            for blank in (" \n", "\t \r\n", " "):
+            assert clean[0] == "ok" and calls == ["read"]
+            for with_blank in (text + " \n", text + "\t \r\n", text + " ", " \n" + text):
                 calls.clear()
-                assert outcome(text_stream(text + blank), fmt) == clean
-                assert not calls
+                assert outcome(text_stream(with_blank), fmt) == clean
+                assert calls == ["failed"]
+            # an empty line, CR-LF ended or not, is one the C reader skips
             calls.clear()
-            assert outcome(text_stream(" \n" + text), fmt) == clean
-            assert not calls
-        # an empty line, CR-LF ended or not, is one the C reader skips too
-        assert data._stream_c_reader_safe(io.StringIO("1::2::3\n\n4::5::6\r\n\r\n"), True)
+            assert outcome(text_stream("\n" + text + "\r\n\r\n"), fmt) == clean
+            assert calls == ["read"]
+
+    def test_only_double_colon_streams_are_scanned(self, monkeypatch):
+        real, scans = data._stream_colons_paired, []
+
+        def counted(stream):
+            scans.append(1)
+            return real(stream)
+
+        monkeypatch.setattr(data, "_stream_colons_paired", counted)
+        for fmt in FORMATS:
+            text = random_ratings_text(7).replace("::", SEPARATORS[fmt])
+            for scanned in (text, text + " \n"):
+                scans.clear()
+                assert outcome(text_stream(scanned), fmt)[0] == "ok"
+                assert len(scans) == (fmt == "double-colon")
 
     def test_csv_header_only_on_the_first_line(self):
         late = ("1,2,3\n" + CSV_HEADER + "\n", "\n" + CSV_HEADER + "\n1,2,3\n", "a,b\n1,2,3\n")
@@ -658,6 +634,12 @@ class TestGrayImage:
         with pytest.raises(ValueError):
             GrayImage(np.array([[300.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.7, 254.5, -0.5])
+    def test_rejects_non_finite_or_fractional(self, bad):
+        with pytest.raises(ValueError, match="finite whole numbers"):
+            GrayImage(np.array([[12.0, bad]]))
+
     def test_accepts_float_in_range(self):
         img = GrayImage(np.array([[12.0, 200.0]]))
         assert img.pixels.dtype == np.uint8
+        assert img.pixels.tolist() == [[12, 200]]

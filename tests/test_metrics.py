@@ -119,6 +119,12 @@ class TestPsnr:
         mse = (9.0 + 16.0) / 2.0
         assert psnr(x, z) == pytest.approx(10 * math.log10(255**2 / mse), rel=1e-9)
 
+    @pytest.mark.parametrize("max_value", [0.0, -255.0, math.nan, math.inf, -math.inf])
+    def test_rejects_max_value_outside_the_positive_reals(self, max_value):
+        z = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="max_value must be finite and positive"):
+            psnr(z + 1.0, z, max_value)
+
 
 class TestBoundTerms:
     def test_beta_constant_observations(self):

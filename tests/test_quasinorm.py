@@ -42,6 +42,9 @@ class TestSchattenQuasiNorm:
             schatten_quasi_norm(np.eye(2), 0.0)
         with pytest.raises(ValueError):
             schatten_quasi_norm(np.eye(2), -0.5)
+        for p in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                schatten_quasi_norm(np.diag([3.0, 2.0, 1.0]), p)
 
     def test_zero_matrix(self):
         assert schatten_quasi_norm(np.zeros((3, 4)), 0.5) == 0.0
@@ -166,6 +169,11 @@ class TestTracePower:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             trace_power(np.ones((2, 3)), 0.5)
+
+    @pytest.mark.parametrize("p", [0.0, -0.5, math.nan, math.inf])
+    def test_rejects_p_outside_the_positive_reals(self, p):
+        with pytest.raises(ValueError, match="finite and positive"):
+            trace_power(np.eye(2), p)
 
 
 class TestFactorPair:
