@@ -329,6 +329,8 @@ class GrayImage:
         px = np.asarray(self.pixels)
         if px.ndim != 2:
             raise ValueError(f"pixels must be 2-D, got shape {px.shape}")
+        if 0 in px.shape:
+            raise ValueError(f"image height and width must be >= 1, got shape {px.shape}")
         if px.dtype != np.uint8:
             # astype would turn nan into 0 and 1.7 into 1
             if not (np.isfinite(px) & (px == np.trunc(px))).all():

@@ -1,51 +1,43 @@
 """Observed-entry set and the three sparse kernels the solvers need.
 
 The coordinate layout is parallel (row, col, value) arrays sorted
-lexicographically by (row, col).  The kernels are the masked residual
-P_omega(U V^T - D) and the products S @ X and S^T @ X of the matrix S that
-holds given values on the observed pattern (the gradients R V and R^T U).
-Each picks one of two paths from the shape and |omega| alone:
+lexicographically by (row, col), which is the entry order of a CSR matrix.
+The kernels are the masked residual P_omega(U V^T - D) and the products
+S @ X and S^T @ X of the matrix S that holds given values on the observed
+pattern (the gradients R V and R^T U).  Each picks one of two paths from the
+shape and |omega| alone:
 
 * dense, when m * n <= max(3 |omega|, 2**16): the values are scattered
   into an m x n array and the products are BLAS matrix products (the
   residual reads the observed entries of U V^T).  Both the scatter and the
   residual's gather address the array by the flat index row * n + col,
   computed on first use, so sets on the sparse path never hold it;
-* sparse, otherwise: for each of the d columns of the factor or block
-  multiplied, one gather of a contiguous column and one ``np.bincount``
-  scatter-accumulate.  The residual gathers the rows of U and V for one
+* sparse, otherwise: the products are scipy's compiled CSR products over
+  the set's own arrays, ``col_idx`` and the row pointers
+  ``SparseObservations.indptr`` (computed on first use); scipy 1.17 keeps
+  these int64 arrays without a copy.  scipy is imported by the first
+  sparse product, so a process that only takes the dense path never loads
+  it.  The residual gathers the rows of U and V with ``np.take`` for one
   block of ``_BLOCK`` entries at a time, so its (block, d) temporaries stay
-  in cache and never grow to |omega| x d.  The gathers are numpy's copy
-  primitives, not fancy indexing: ``np.take`` for the residual's row blocks,
-  and ``np.repeat`` for the two products, which are mirror images.
-  ``sp_tdot`` walks the entries in their (row, col) order, so x[i, k] is
-  needed ``row_counts[i]`` times in a row; ``sp_dot`` walks them in the
-  cached (col, row) order ``SparseObservations.by_column``, so x[j, k] is
-  needed ``col_counts[j]`` times in a row.  Neither reads an index array to
-  gather a factor column.
+  in cache and never grow to |omega| x d.
 
 The first term takes the dense path at density 1/3 and above, where the
 array's 8 m n bytes are no more than the 24 bytes per entry the coordinate
 arrays hold and m n d stays within 3 |omega| d multiply-adds.  The second
-takes it on every set of at most 2**16 cells, where the sparse path's
-fixed cost per column mostly outweighs its saving (the measured exception
-is d = 1 below density 1/3); the cap keeps the array within 512 KB, so
-below density 1/3 no large allocation appears.
+takes it on every set of at most 2**16 cells (see ``_DENSE_CELLS``); the
+cap keeps the array within 512 KB, so below density 1/3 no large
+allocation appears.
 
-The sparse path gives the bits of a plain per-column scatter over the
-(row, col) order and of one unblocked gather.  Each entry's dot product is
-the same ``einsum`` reduction over its d terms in any block.  In the (col,
-row) order of ``sp_dot`` each row still meets its own entries in increasing
-column order, which is their (row, col) order, and ``np.bincount`` adds in
-entry order starting from 0.0, so every row sum is added up in the same
-order; consecutive adds within a column hit different rows, so none waits
-on the previous add to its row.  ``np.repeat(x[:, k], col_counts)`` is
-``x[col_idx[perm], k]``, so every product keeps its operands.  ``np.take``
-and ``np.repeat`` copy the same values as the fancy-index gathers
-``u[rows]`` and ``x[idx, k]`` into new C-contiguous arrays whatever the
-factors' layout (Fortran order, strided views, read-only), so the einsum
-and ``np.bincount`` see the same operands in the same order and every
-output keeps its bits.
+The sparse path gives the bits of a plain per-column ``np.bincount``
+scatter over the (row, col) order and of one unblocked gather.  scipy's
+CSR product and its transpose (a CSC product over the same arrays) add
+each output element's terms values[e] * x[j, k] in entry order, starting
+from 0.0, which is the order ``np.bincount`` adds in, so every output
+element is the same sum.  Each entry's residual is the same ``einsum``
+reduction over its d terms in any block.  ``np.take`` copies factor rows
+into new C-contiguous arrays, and scipy reads a factor through its C-order
+ravel, whatever the factors' layout (Fortran order, strided views,
+read-only), so every output keeps its bits.
 
 ``masked_residual`` is the one checked kernel: it checks its factors (2-D,
 finite, shapes matching the set) and returns the residual as its nnz values
@@ -61,7 +53,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,9 +82,6 @@ class SparseObservations:
     row_idx: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
-    # entries per row; entries are row-sorted, so row i owns the next
-    # row_counts[i] of them
-    row_counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("m", "n"):
@@ -127,7 +116,6 @@ class SparseObservations:
         object.__setattr__(self, "row_idx", rows)
         object.__setattr__(self, "col_idx", cols)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "row_counts", np.bincount(rows, minlength=self.m))
 
     @property
     def nnz(self) -> int:
@@ -139,16 +127,15 @@ class SparseObservations:
         return self.row_idx * self.n + self.col_idx
 
     @functools.cached_property
-    def by_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(perm, rows, col_counts): the entries in (col, row) order, where
-        perm is a stable argsort of col_idx, rows is row_idx[perm] and
-        col_counts[j] the number of entries in column j, so column j owns the
-        next col_counts[j] entries of that order."""
-        # numpy radix-sorts a key of at most 16 bits; a stable sort by column
-        # keeps each column's entries in row order
-        key = self.col_idx.astype(np.min_scalar_type(self.n - 1), copy=False)
-        perm = np.argsort(key, kind="stable")
-        return perm, self.row_idx.take(perm), np.bincount(self.col_idx, minlength=self.n)
+    def indptr(self) -> np.ndarray:
+        """CSR row pointers: the entries are row-sorted, so row i owns
+        entries indptr[i]:indptr[i + 1]."""
+        return np.searchsorted(self.row_idx, np.arange(self.m + 1))
+
+    @property
+    def row_counts(self) -> np.ndarray:
+        """Entries per row."""
+        return np.diff(self.indptr)
 
     def dense(self) -> np.ndarray:
         """Materialize P_omega(D) (zeros off the observed set)."""
@@ -177,7 +164,11 @@ def _scatter(obs: SparseObservations, values) -> np.ndarray:
     return out.reshape(obs.m, obs.n)
 
 
-# cells of the largest m x n buffer (512 KB) the rule adds below density 1/3
+# cells of the largest m x n buffer (512 KB) the rule adds below density 1/3.
+# The cap was measured against an earlier sparse path that paid a fixed cost
+# per factor column, not against the CSR products.  It is kept so that no
+# set changes path: a set that moves changes its output bits, so re-tuning
+# the cap is a declared behaviour change of its own
 _DENSE_CELLS = 2**16
 
 
@@ -226,15 +217,12 @@ def masked_residual(u, v, obs: SparseObservations) -> np.ndarray:
     return values
 
 
-def _scatter_columns(idx, counts, values, x, nbins):
-    # entries are sorted so that x's row i owns the next counts[i] of them:
-    # entry e adds values[e] * x[i, k] to out[idx[e], k], and np.repeat gives
-    # each contiguous column of x per entry without reading an index array
-    xt = np.ascontiguousarray(x.T)
-    out = np.empty((nbins, x.shape[1]))
-    for k in range(x.shape[1]):
-        out[:, k] = np.bincount(idx, weights=np.repeat(xt[k], counts) * values, minlength=nbins)
-    return out
+def _csr(obs: SparseObservations, values: np.ndarray):
+    """S as a scipy CSR array that shares the set's index arrays."""
+    # imported here, so that only sparse-path products pay for the import
+    from scipy.sparse import csr_array
+
+    return csr_array((values, obs.col_idx, obs.indptr), shape=(obs.m, obs.n))
 
 
 def sp_dot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -246,9 +234,7 @@ def sp_dot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.nda
     """
     if _dense_path(obs):
         return _scatter(obs, values) @ x
-    # (col, row) order: each row still sums its terms in (row, col) order
-    perm, rows, col_counts = obs.by_column
-    return _scatter_columns(rows, col_counts, values.take(perm), x, obs.m)
+    return _csr(obs, values) @ x
 
 
 def sp_tdot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -259,7 +245,7 @@ def sp_tdot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.nd
     """
     if _dense_path(obs):
         return _scatter(obs, values).T @ x
-    return _scatter_columns(obs.col_idx, obs.row_counts, values, x, obs.n)
+    return _csr(obs, values).T @ x
 
 
 def _partial_fisher_yates(total: int, k: int, rng) -> np.ndarray:

@@ -639,6 +639,12 @@ class TestGrayImage:
         with pytest.raises(ValueError, match="finite whole numbers"):
             GrayImage(np.array([[12.0, bad]]))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64, np.int64])
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_rejects_zero_height_or_width(self, shape, dtype):
+        with pytest.raises(ValueError, match="height and width must be >= 1"):
+            GrayImage(np.zeros(shape, dtype))
+
     def test_accepts_float_in_range(self):
         img = GrayImage(np.array([[12.0, 200.0]]))
         assert img.pixels.dtype == np.uint8

@@ -50,6 +50,6 @@ def test_sparse_kernel_cost():
         "--ds", 2, 3, "--number", 1, "--repeat", 1,
     )
     assert out[0].startswith("300 x 250, ")
-    assert out[1].startswith("column order")
+    assert out[1].startswith("first sparse product")
     rows = [line.split("|")[1:-1] for line in out if line.startswith(("| 2 |", "| 3 |"))]
     assert len(rows) == 2 and all(float(ms) > 0 for row in rows for ms in row[1:])

@@ -1,6 +1,11 @@
 import io
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,23 +129,23 @@ class TestSparseObservations:
         assert obs.flat_idx.tolist() == [3, 4, 10]
         assert "flat_idx" in vars(obs)
 
-    def test_dense_path_holds_no_column_order(self):
+    def test_dense_path_holds_no_row_pointers(self):
         u, v, _, obs = random_instance(8)
         assert sparse_obs._dense_path(obs)
         r = masked_residual(u, v, obs)
         sp_dot(obs, r, v)
         sp_tdot(obs, r, u)
         solve(obs, SolverConfig(reg=Regularizer.BIN, lam=1.0, d=2, max_iters=3))
-        assert "by_column" not in vars(obs)
+        assert "indptr" not in vars(obs)
 
-    def test_column_order_is_built_by_the_first_sparse_sp_dot(self):
+    @pytest.mark.parametrize("first", ["sp_dot", "sp_tdot"])
+    def test_row_pointers_are_built_by_the_first_sparse_product(self, first):
         u, v, _, obs = random_instance(10, m=300, n=300, d=3, sr=0.01)
         assert not sparse_obs._dense_path(obs)
         r = masked_residual(u, v, obs)
-        sp_tdot(obs, r, u)
-        assert "by_column" not in vars(obs)
-        sp_dot(obs, r, v)
-        assert "by_column" in vars(obs)
+        assert "indptr" not in vars(obs)
+        sp_dot(obs, r, v) if first == "sp_dot" else sp_tdot(obs, r, u)
+        assert "indptr" in vars(obs)
 
     @pytest.mark.parametrize(
         "rows, cols",
@@ -152,12 +157,12 @@ class TestSparseObservations:
             ([0, 1, 2, 3, 4], [3, 3, 3, 3, 3]),  # one column; columns 0-2 empty
         ],
     )
-    def test_column_order(self, rows, cols):
-        _check_column_order(SparseObservations(5, 4, rows, cols, np.arange(len(rows), dtype=float)))
+    def test_row_pointers(self, rows, cols):
+        _check_row_pointers(SparseObservations(5, 4, rows, cols, np.arange(len(rows), dtype=float)))
 
-    def test_column_order_of_large_sets(self):
+    def test_row_pointers_of_large_sets(self):
         for lin in _LAYOUT_SETS.values():
-            _check_column_order(_instance(300, 250, lin, 1, 14)[0])
+            _check_row_pointers(_instance(300, 250, lin, 1, 14)[0])
 
     def test_sparse_path_holds_no_flat_index(self):
         # 300 x 300 at 1% observed is above 2**16 cells and below density 1/3
@@ -169,14 +174,53 @@ class TestSparseObservations:
         assert "flat_idx" not in vars(obs)
 
 
-def _check_column_order(obs):
-    perm, by_rows, col_counts = obs.by_column
-    assert np.array_equal(np.sort(perm), np.arange(obs.nnz))
-    assert np.array_equal(by_rows, obs.row_idx[perm])
-    assert np.array_equal(col_counts, np.bincount(obs.col_idx, minlength=obs.n))
-    # ordered by (col, row), so each row keeps its entries' order
-    key = obs.col_idx[perm] * obs.m + by_rows
-    assert np.all(np.diff(key) > 0)
+_LAZY_SCIPY = textwrap.dedent(
+    """
+    import sys
+
+    import numpy as np
+
+    import schattenmc
+    from schattenmc.cli import main
+    from schattenmc.sparse_obs import _dense_path, sp_dot
+
+    inst = schattenmc.gen_synthetic(30, 30, 2, 0.1, 0.5, 1)
+    assert _dense_path(inst.observations)
+    schattenmc.solve(
+        inst.observations, schattenmc.SolverConfig(reg=schattenmc.Regularizer.FN, lam=1.0, d=3)
+    )
+    args = ["synth", "--m", "20", "--n", "20", "--rank", "2", "--sr", "0.5"]
+    assert main(args + ["--max-iters", "5", "--out", sys.argv[1]]) == 0
+    assert "scipy" not in sys.modules, "a dense-path run imported scipy"
+
+    rows, cols = schattenmc.sample_mask(300, 300, 0.01, 1)
+    obs = schattenmc.SparseObservations(300, 300, rows, cols, np.ones(rows.size))
+    assert not _dense_path(obs)
+    sp_dot(obs, obs.values, np.ones((300, 2)))
+    assert "scipy" in sys.modules, "a sparse-path product ran without scipy"
+    """
+)
+
+
+def test_scipy_is_imported_by_the_first_sparse_product(tmp_path):
+    # importing scipy.sparse takes ~0.1 s, which a process that only takes
+    # the dense path must not pay; a fresh interpreter shows what is loaded
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY, str(tmp_path / "synth")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _check_row_pointers(obs):
+    indptr = obs.indptr
+    assert indptr.dtype == np.int64 and indptr.shape == (obs.m + 1,)
+    assert indptr[0] == 0 and indptr[-1] == obs.nnz
+    # row i owns entries indptr[i]:indptr[i + 1], and no others
+    assert np.array_equal(np.repeat(np.arange(obs.m), np.diff(indptr)), obs.row_idx)
+    assert np.array_equal(obs.row_counts, np.bincount(obs.row_idx, minlength=obs.m))
 
 
 def _diagonal_set():
@@ -579,12 +623,12 @@ def _with_layout(x, layout):
 
 _LAYOUT_SETS = {
     "rows straddle block edges": _BLOCK_SETS["rows straddle block edges"],
-    # rows 0 and 299 empty, so sp_tdot's np.repeat meets zero counts at both ends
+    # rows 0 and 299 empty, so the row pointers start and end with empty rows
     "first and last rows empty": [
         r * 250 + c for r in range(1, 299) for c in range(r % 4, 250, 4)
     ],
-    # columns 0-9 and 240-249 empty, so sp_dot's np.repeat meets zero counts
-    # at both ends
+    # columns 0-9 and 240-249 empty, so sp_tdot's first and last output rows
+    # get no terms
     "first and last columns empty": [
         r * 250 + c for r in range(300) for c in range(10 + r % 5, 240, 5)
     ],
@@ -604,9 +648,10 @@ def _kernel_outputs(obs, u, v, values):
 @pytest.mark.parametrize("d", [1, 6])
 @pytest.mark.parametrize("name", list(_LAYOUT_SETS))
 def test_sparse_kernels_give_the_same_bits_for_any_factor_layout(name, d, layout):
-    # the take and repeat gathers copy factor rows and columns into new
-    # C-contiguous arrays, so the products and sums see the same operands;
-    # _check_kernels holds sp_dot and sp_tdot to the reference scatter
+    # np.take copies factor rows into new C-contiguous arrays and scipy reads
+    # factors through their C-order ravel, so the products and sums see the
+    # same operands; _check_kernels holds sp_dot and sp_tdot to the
+    # reference scatter
     obs, u, v = _instance(300, 250, _LAYOUT_SETS[name], d, 13)
     assert not sparse_obs._dense_path(obs)
     _check_kernels(obs, u, v, dense=False)
