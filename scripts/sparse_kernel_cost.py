@@ -7,9 +7,11 @@ lognormal weights, columns are uniform within a row.  Prints the time of the
 first sparse product on its own line, since it pays the one-off work (the
 scipy import and the set's row pointers), and then, for each d, the
 steady-state best-of-N milliseconds per call of ``masked_residual``,
-``sp_dot`` and ``sp_tdot``.  The shape must take the sparse path (more than
-2**16 cells, below density 1/3).  Run with one BLAS thread
-(``OPENBLAS_NUM_THREADS=1``), as the benchmark does.
+``sp_dot`` and ``sp_tdot``, and of the FN spectral start
+``palm.initial_factors`` at rank bound d (its products run at width d + 10).
+The shape must take the sparse path (more than 2**16 cells, below density
+1/3).  Run with one BLAS thread (``OPENBLAS_NUM_THREADS=1``), as the
+benchmark does.
 """
 
 import argparse
@@ -22,7 +24,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from schattenmc import sparse_obs
+from schattenmc import palm, sparse_obs
+from schattenmc.quasinorm import Regularizer
 from schattenmc.sparse_obs import SparseObservations, masked_residual, sp_dot, sp_tdot
 
 
@@ -59,16 +62,18 @@ def main(argv=None):
     first_ms = (time.perf_counter() - t0) * 1e3
     print(f"{obs.m} x {obs.n}, {obs.nnz} entries, most in one row {obs.row_counts.max()}")
     print(f"first sparse product, d = 1 (scipy import, row pointers): {first_ms:.1f} ms")
-    print("| d | residual ms | sp_dot ms | sp_tdot ms |")
-    print("|---|---|---|---|")
+    print("| d | residual ms | sp_dot ms | sp_tdot ms | spectral start ms |")
+    print("|---|---|---|---|---|")
     rng = np.random.default_rng(args.seed + 1)
     for d in args.ds:
         u, v = rng.standard_normal((obs.m, d)), rng.standard_normal((obs.n, d))
         r = masked_residual(u, v, obs)
+        cfg = palm.SolverConfig(reg=Regularizer.FN, lam=1.0, d=d, seed=args.seed)
         costs = [
             best_ms(lambda: masked_residual(u, v, obs), args.number, args.repeat),
             best_ms(lambda: sp_dot(obs, r, v), args.number, args.repeat),
             best_ms(lambda: sp_tdot(obs, r, u), args.number, args.repeat),
+            best_ms(lambda: palm.initial_factors(obs, cfg), args.number, args.repeat),
         ]
         print(f"| {d} | " + " | ".join(f"{c:.3g}" for c in costs) + " |")
 

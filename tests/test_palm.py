@@ -868,12 +868,42 @@ class TestSpectralInitOracle:
         scaled = obs.values * (m * n / obs.nnz)
         want_left, want_sigma, want_right_t = np.linalg.svd(sparse_obs._scatter(obs, scaled))
         want_left, want_right = want_left[:, :k], want_right_t[:k].T
-        left, sigma, right = palm._truncated_sparse_svd(obs, scaled, k, philox(7))
+        f = palm._truncated_sparse_svd(obs, scaled, k, philox(7))
+        left, sigma, right = f.left, f.singular_values, f.right
         assert left.shape == (m, k) and sigma.shape == (k,) and right.shape == (n, k)
         assert np.all(np.abs(sigma - want_sigma[:k]) <= self.RTOL * want_sigma[:k])
         signs = np.sign(np.sum(left * want_left, axis=0))
         assert np.abs(left * signs - want_left).max() <= self.RTOL
         assert np.abs(right * signs - want_right).max() <= self.RTOL
+
+    # one power step: sp_dot, sp_tdot, then sp_dot for the final SVD
+    ONE_STEP = ["sp_dot", "sp_tdot", "sp_dot"]
+
+    @pytest.mark.parametrize(
+        "case, init, expected",
+        [
+            ("dense-40x30", InitStrategy.SPECTRAL_SCALED, ONE_STEP),
+            ("sparse-300x250", InitStrategy.SPECTRAL_SCALED, ONE_STEP),
+            ("dense-40x30", InitStrategy.GAUSSIAN_SCALED, []),
+            ("empty", InitStrategy.SPECTRAL_SCALED, []),
+        ],
+    )
+    def test_start_costs_three_products(self, monkeypatch, case, init, expected):
+        if case == "empty":
+            none = np.zeros(0, dtype=np.int64)
+            obs = SparseObservations(40, 30, none, none, np.zeros(0))
+        else:
+            m, n, block_rows, block_cols, dense_path = self.CASES[case]
+            obs = exact_low_rank_set(m, n, block_rows, block_cols, np.array([9.0, 4.0, 1.0]), 5)
+            assert sparse_obs._dense_path(obs) is dense_path
+        calls = []
+        for name in ("sp_dot", "sp_tdot"):
+            kernel = getattr(palm, name)
+            monkeypatch.setattr(
+                palm, name, lambda *a, kernel=kernel, name=name: calls.append(name) or kernel(*a)
+            )
+        initial_factors(obs, SolverConfig(reg=Regularizer.FN, lam=1.0, d=3, init=init, seed=2))
+        assert calls == expected
 
     @pytest.mark.parametrize("reg", list(Regularizer))
     def test_block_width_clips_at_the_smaller_dimension(self, reg):

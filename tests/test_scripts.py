@@ -52,4 +52,6 @@ def test_sparse_kernel_cost():
     assert out[0].startswith("300 x 250, ")
     assert out[1].startswith("first sparse product")
     rows = [line.split("|")[1:-1] for line in out if line.startswith(("| 2 |", "| 3 |"))]
-    assert len(rows) == 2 and all(float(ms) > 0 for row in rows for ms in row[1:])
+    # residual, sp_dot, sp_tdot and spectral start
+    assert len(rows) == 2 and all(len(row) == 5 for row in rows)
+    assert all(float(ms) > 0 for row in rows for ms in row[1:])
