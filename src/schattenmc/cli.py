@@ -57,7 +57,7 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _manifest(command: str, args: argparse.Namespace, outputs, wall_s: float) -> dict:
+def _manifest(args: argparse.Namespace, outputs, wall_s: float) -> dict:
     config = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in sorted(vars(args).items())
@@ -65,9 +65,9 @@ def _manifest(command: str, args: argparse.Namespace, outputs, wall_s: float) ->
     }
     return {
         "schema": SCHEMA,
-        "command": command,
+        "command": args.command,
         "config": config,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "version": __version__,
         "wall_time_s": wall_s,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
@@ -75,19 +75,16 @@ def _manifest(command: str, args: argparse.Namespace, outputs, wall_s: float) ->
     }
 
 
-def _numerical_failure(args, path: Path, outputs, t_start, error: str, exc, body) -> int:
-    """Write ``body`` with the error, the failed solve's partial objective
-    trace and the wall time so far to ``path``; return exit code 3."""
+def _write_report(args, path: Path, outputs, t_start: float, body: dict) -> None:
+    """Write ``body`` and its manifest, timed from ``t_start`` to now, to ``path``."""
     wall_s = time.perf_counter() - t_start
-    _write_json(
-        path,
-        {
-            **body,
-            "manifest": _manifest(args.command, args, outputs, wall_s),
-            "error": error,
-            "objective_trace": getattr(exc, "objective_trace", []),
-        },
-    )
+    _write_json(path, {**body, "manifest": _manifest(args, outputs, wall_s)})
+
+
+def _numerical_failure(args, path: Path, outputs, t_start, error: str, exc, body) -> int:
+    """Write ``body`` with the error and the failed solve's partial trace; return 3."""
+    body = {**body, "error": error, "objective_trace": getattr(exc, "objective_trace", [])}
+    _write_report(args, path, outputs, t_start, body)
     print(f"schattenmc {args.command}: numerical failure: {error}", file=sys.stderr)
     return 3
 
@@ -153,16 +150,11 @@ def _cmd_synth(args) -> int:
         return _numerical_failure(
             args, summary_path, outputs, t_start, error, failure, summary
         )
-    wall_s = time.perf_counter() - t_start
-    summary["manifest"] = _manifest("synth", args, outputs, wall_s)
-    _write_json(summary_path, summary)
+    _write_report(args, summary_path, outputs, t_start, summary)
     return 0
 
 
 def _cmd_complete(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "report.json"
     t_start = time.perf_counter()
     # utf-8-sig drops a leading byte-order mark, also after the parser's rewind
     with open(args.input, "r", encoding="utf-8-sig") as fh:
@@ -170,6 +162,10 @@ def _cmd_complete(args) -> int:
     split_seed, solver_seed = spawn_seeds(args.seed, 2)
     train, test = split_train_test(ratings, args.train_frac, split_seed)
     cfg = _solver_config(args, args.d, solver_seed)
+    # made once the input has been read, so an input error leaves no directory
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    report_path = out / "report.json"
     try:
         report = solve(train, cfg)
     except NumericalError as exc:
@@ -178,9 +174,7 @@ def _cmd_complete(args) -> int:
     # an FN solve's own diagnostics are the FN ones the bound terms read
     fn_optimality = report.optimality if cfg.reg is Regularizer.FN else None
     terms = bound_terms(train, report.factors, args.lam, args.d, fn_optimality)
-    wall_s = time.perf_counter() - t_start
-    payload = {
-        "manifest": _manifest("complete", args, [report_path], wall_s),
+    body = {
         "dims": {"users": ratings.m, "items": ratings.n},
         "train_size": train.nnz,
         "test_size": test.nnz,
@@ -194,23 +188,24 @@ def _cmd_complete(args) -> int:
         "optimality": _optimality_dict(report.optimality),
         "bound_terms": dataclasses.asdict(terms),
     }
-    _write_json(report_path, payload)
+    _write_report(args, report_path, [report_path], t_start, body)
     return 0
 
 
 def _cmd_image(args) -> int:
+    t_start = time.perf_counter()
+    with open(args.input, "rb") as fh:
+        img = read_pgm(fh)
+    obs, corruption = corrupt_image(img, args.corrupt_frac, args.noise_sigma, args.seed)
+    cfg = _solver_config(args, args.d, args.seed)
+    # made once the input has been read, so an input error leaves no directory
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     recovered_path = out / "recovered.pgm"
     degraded_path = out / "degraded.pgm"
     report_path = out / "report.json"
-    t_start = time.perf_counter()
-    with open(args.input, "rb") as fh:
-        img = read_pgm(fh)
-    obs, corruption = corrupt_image(img, args.corrupt_frac, args.noise_sigma, args.seed)
     with open(degraded_path, "wb") as fh:
         write_pgm(corruption.degraded, fh)
-    cfg = _solver_config(args, args.d, args.seed)
     try:
         report = solve(obs, cfg)
     except NumericalError as exc:
@@ -220,13 +215,9 @@ def _cmd_image(args) -> int:
     with open(recovered_path, "wb") as fh:
         write_pgm(GrayImage(recovered), fh)
     original = img.pixels.astype(np.float64)
-    wall_s = time.perf_counter() - t_start
     psnr_rec = psnr(recovered.astype(np.float64), original)
     psnr_deg = psnr(corruption.degraded.pixels.astype(np.float64), original)
-    payload = {
-        "manifest": _manifest(
-            "image", args, [recovered_path, degraded_path, report_path], wall_s
-        ),
+    body = {
         "width": img.width,
         "height": img.height,
         "observed_pixels": obs.nnz,
@@ -239,19 +230,18 @@ def _cmd_image(args) -> int:
         "restarts": report.restarts,
         "converged": report.converged,
     }
-    _write_json(report_path, payload)
+    outputs = [recovered_path, degraded_path, report_path]
+    _write_report(args, report_path, outputs, t_start, body)
     return 0
 
 
 def _cmd_verify(args) -> int:
     t_start = time.perf_counter()
-    results = run_property_suite(
-        args.trials, args.seed, tolerance_scale=args.tolerance_scale
-    )
+    results = run_property_suite(args.trials, args.seed)
     wall_s = time.perf_counter() - t_start
     outputs = [Path(args.out)] if args.out else []
     payload = {
-        "manifest": _manifest("verify", args, outputs, wall_s),
+        "manifest": _manifest(args, outputs, wall_s),
         "properties": [dataclasses.asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
     }
@@ -262,11 +252,30 @@ def _cmd_verify(args) -> int:
     return 0 if payload["all_passed"] else 1
 
 
-def _positive_int(value):
-    v = int(value)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return v
+def _checked(convert, test, rule: str):
+    """An argparse type: ``convert`` the text, then require ``test`` of the
+    value, or fail as "must be <rule>, got <text>"."""
+
+    def check(text):
+        value = convert(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    # argparse names the type in "invalid int value" for text that fails to convert
+    check.__name__ = convert.__name__
+    return check
+
+
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+# np.random.SeedSequence, which every command seeds through, takes no negative int
+_seed = _checked(int, lambda v: v >= 0, ">= 0")
+# written so that nan fails too; the solver flags take SolverConfig's rules
+_non_negative = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "finite and positive")
+_sampling_ratio = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_train_frac = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_corrupt_frac = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,20 +289,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver_flags(sp, lam_default):
         sp.add_argument("--reg", choices=sorted(r.value for r in Regularizer), default="fn")
-        sp.add_argument("--lambda", dest="lam", type=float, default=lam_default)
-        sp.add_argument("--epsilon", type=float, default=1e-4)
+        sp.add_argument("--lambda", dest="lam", type=_non_negative, default=lam_default)
+        sp.add_argument("--epsilon", type=_positive, default=1e-4)
         sp.add_argument("--max-iters", type=_positive_int, default=1000)
         sp.add_argument(
             "--init", choices=sorted(i.value for i in InitStrategy), default="spectral"
         )
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_seed, default=0)
 
     synth = sub.add_parser("synth", help="seeded synthetic completion benchmark")
     synth.add_argument("--m", type=_positive_int, default=100)
     synth.add_argument("--n", type=_positive_int, default=100)
     synth.add_argument("--rank", type=_positive_int, default=5)
-    synth.add_argument("--nf", type=float, default=0.0)
-    synth.add_argument("--sr", type=float, default=0.2)
+    synth.add_argument("--nf", type=_non_negative, default=0.0)
+    synth.add_argument("--sr", type=_sampling_ratio, default=0.2)
     synth.add_argument("--d", type=_positive_int, default=None)
     synth.add_argument("--runs", type=_positive_int, default=1)
     synth.add_argument("--out", required=True)
@@ -303,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     complete = sub.add_parser("complete", help="rating-file completion run")
     complete.add_argument("--input", required=True)
     complete.add_argument("--format", choices=FORMATS, default="double-colon")
-    complete.add_argument("--train-frac", type=float, default=0.5)
+    complete.add_argument("--train-frac", type=_train_frac, default=0.5)
     complete.add_argument("--d", type=_positive_int, default=10)
     complete.add_argument("--out", required=True)
     add_solver_flags(complete, 100.0)
@@ -311,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     image = sub.add_parser("image", help="grayscale image recovery")
     image.add_argument("--input", required=True)
-    image.add_argument("--corrupt-frac", type=float, default=0.5)
-    image.add_argument("--noise-sigma", type=float, default=50.0)
+    image.add_argument("--corrupt-frac", type=_corrupt_frac, default=0.5)
+    image.add_argument("--noise-sigma", type=_non_negative, default=50.0)
     image.add_argument("--d", type=_positive_int, default=100)
     image.add_argument("--out", required=True)
     add_solver_flags(image, 100.0)
@@ -320,48 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="quasi-norm property verification")
     verify.add_argument("--trials", type=_positive_int, default=100)
-    verify.add_argument("--seed", type=int, default=1)
+    verify.add_argument("--seed", type=_seed, default=1)
     verify.add_argument("--out", default=None)
-    verify.add_argument(
-        "--tolerance-scale",
-        type=float,
-        default=1.0,
-        help="multiply all property tolerances (testing hook)",
-    )
     verify.set_defaults(func=_cmd_verify)
     return p
 
 
 def _validate(parser, args) -> None:
-    if args.command == "synth":
-        if not (0.0 < args.sr <= 1.0):
-            parser.error(f"--sr must be in (0, 1], got {args.sr}")
-        if not 0.0 <= args.nf < math.inf:
-            parser.error(f"--nf must be finite and >= 0, got {args.nf}")
-        if args.rank > min(args.m, args.n):
-            parser.error("--rank exceeds min(m, n)")
-    elif args.command == "complete":
-        if not (0.0 < args.train_frac < 1.0):
-            parser.error(f"--train-frac must be in (0, 1), got {args.train_frac}")
-    elif args.command == "image":
-        if not (0.0 <= args.corrupt_frac < 1.0):
-            parser.error(f"--corrupt-frac must be in [0, 1), got {args.corrupt_frac}")
-        if not 0.0 <= args.noise_sigma < math.inf:
-            parser.error(f"--noise-sigma must be finite and >= 0, got {args.noise_sigma}")
-    elif args.command == "verify":
-        if not 0.0 <= args.tolerance_scale < math.inf:
-            parser.error(
-                f"--tolerance-scale must be finite and >= 0, got {args.tolerance_scale}"
-            )
-    # every command seeds through np.random.SeedSequence, which takes no
-    # negative integer
-    if args.seed < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
-    # the same checks as SolverConfig's, made before any output is written
-    if not 0.0 <= getattr(args, "lam", 0.0) < math.inf:
-        parser.error(f"--lambda must be finite and >= 0, got {args.lam}")
-    if not 0.0 < getattr(args, "epsilon", 1.0) < math.inf:
-        parser.error(f"--epsilon must be finite and positive, got {args.epsilon}")
+    """The one rule that reads two flags; each flag checks its own value."""
+    if args.command == "synth" and args.rank > min(args.m, args.n):
+        parser.error("--rank exceeds min(m, n)")
 
 
 def main(argv=None) -> int:

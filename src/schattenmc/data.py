@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _as_count
 from .rng import philox_rng, spawn_seeds
 from .sparse_obs import SparseObservations, sample_mask
 
@@ -45,15 +46,15 @@ __all__ = [
     "corrupt_image",
 ]
 
-_SEPARATORS = {"double-colon": "::", "tab": "\t", "csv": ","}
-FORMATS = tuple(_SEPARATORS)
-# np.loadtxt's one-character delimiter and the columns of user, item, rating:
-# "::" is read as ":" with an empty field between the two colons
-_TABLE_COLUMNS = {
-    "double-colon": (":", (0, 2, 4)),
-    "tab": ("\t", (0, 1, 2)),
-    "csv": (",", (0, 1, 2)),
+# format -> (the line loop's separator, np.loadtxt's one-character delimiter,
+# the loadtxt columns of user, item, rating): loadtxt reads "::" as ":" with
+# an empty field between the two colons
+_FORMATS = {
+    "double-colon": ("::", ":", (0, 2, 4)),
+    "tab": ("\t", "\t", (0, 1, 2)),
+    "csv": (",", ",", (0, 1, 2)),
 }
+FORMATS = tuple(_FORMATS)
 _TABLE_DTYPE = np.dtype([("user", np.int64), ("item", np.int64), ("value", np.float64)])
 _SCAN_CHARS = 1 << 20  # block size of the scan ahead of np.loadtxt
 
@@ -80,7 +81,8 @@ def gen_synthetic(m: int, n: int, r: int, nf: float, sr: float, seed: int) -> Sy
     """Rank-r ground truth from i.i.d. standard normal factors, observed on a
     uniform mask with additive noise nf * E on the observed entries.
     """
-    if not (1 <= r <= min(m, n)):
+    m, n, r = _as_count(m, "m"), _as_count(n, "n"), _as_count(r, "r")
+    if r > min(m, n):
         raise ValueError(f"rank must be in [1, min(m, n)], got {r}")
     if not (0.0 < sr <= 1.0):
         raise ValueError(f"sampling ratio must be in (0, 1], got {sr}")
@@ -122,7 +124,7 @@ def parse_movielens(stream, fmt: str = "double-colon") -> RatingSet:
     ``_parse_table`` reads a seekable text stream with ``np.loadtxt``; the
     line loop ``_parse_lines`` reads whatever it declines.
     """
-    if fmt not in _SEPARATORS:
+    if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     users, items, vals = _parse_table(stream, fmt) or _parse_lines(stream, fmt)
     user_ids, u_dense = _dense_ids(users)
@@ -172,7 +174,8 @@ def _fields(parts):
 
 
 def _is_csv_header(line: str) -> bool:
-    """The line loop's header test, for a first line."""
+    """Whether a csv file's first line is a header: three or more fields, of
+    which the first three do not parse as a rating."""
     parts = line.strip().split(",")
     if len(parts) < 3:
         return False
@@ -186,7 +189,7 @@ def _is_csv_header(line: str) -> bool:
 def _parse_lines(stream, fmt):
     """The line loop: (users, items, values) arrays, or DataFormatError with
     the 1-based line number of the first bad line."""
-    sep = _SEPARATORS[fmt]
+    sep = _FORMATS[fmt][0]
     # typed arrays, not lists: a list holds a Python object per field, about
     # 100 MB for a million ratings, and the heap keeps much of it after it is freed
     users, items, vals = array("q"), array("q"), array("d")
@@ -194,7 +197,7 @@ def _parse_lines(stream, fmt):
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8", errors="replace")
         line = raw.strip()
-        if not line:
+        if not line or (fmt == "csv" and lineno == 1 and _is_csv_header(line)):
             continue
         parts = line.split(sep)
         if len(parts) < 3:
@@ -204,8 +207,6 @@ def _parse_lines(stream, fmt):
         try:
             uid, iid, val = _fields(parts)
         except ValueError:
-            if fmt == "csv" and lineno == 1 and not users:
-                continue  # header row
             raise DataFormatError(f"cannot parse fields {parts[:3]}", lineno) from None
         if not math.isfinite(val):
             raise DataFormatError(f"non-finite rating {parts[2]!r}", lineno)
@@ -255,7 +256,7 @@ def _stream_colons_paired(stream) -> bool:
 def _read_table(stream, fmt, start):
     """One ``np.loadtxt`` pass from ``start``; None where its result could
     differ from the line loop's."""
-    delimiter, usecols = _TABLE_COLUMNS[fmt]
+    _, delimiter, usecols = _FORMATS[fmt]
     if fmt == "double-colon":
         # ':' as the delimiter would read "1::2::3:4::5" as (1, 2, 3)
         if not _stream_colons_paired(stream):
@@ -323,7 +324,6 @@ class GrayImage:
     """8-bit grayscale image; pixels shape (height, width), values 0..255."""
 
     pixels: np.ndarray
-    max_value: int = 255
 
     def __post_init__(self):
         px = np.asarray(self.pixels)

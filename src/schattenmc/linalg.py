@@ -20,6 +20,7 @@ Derived scalar norms and rank decisions trim singular values below
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     return as_stack(arr, name)
+
+
+def _as_count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an
+    integer >= ``minimum`` (1 or 0).  A bool is rejected, not read as 0/1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        kind = "positive" if minimum == 1 else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)

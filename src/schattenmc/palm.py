@@ -36,7 +36,6 @@ failure is a ``NumericalError`` too.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -46,6 +45,7 @@ import numpy as np
 from .linalg import (
     NumericalError,
     ThinSVD,
+    _as_count,
     _frobenius_norm,
     _sigma_max,
     _svd,
@@ -132,12 +132,8 @@ class SolverConfig:
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         for name in ("d", "max_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+            _as_count(getattr(self, name), name)
+        _as_count(self.seed, "seed", minimum=0)
 
 
 @dataclass(frozen=True)

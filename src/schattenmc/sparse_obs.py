@@ -5,7 +5,7 @@ lexicographically by (row, col), which is the entry order of a CSR matrix.
 The kernels are the masked residual P_omega(U V^T - D) and the products
 S @ X and S^T @ X of the matrix S that holds given values on the observed
 pattern (the gradients R V and R^T U).  Each picks one of two paths from the
-shape and |omega| alone:
+shape and |omega| alone; both products multiply by ``_operator``'s S:
 
 * dense, when m * n <= max(3 |omega|, 2**16): the values are scattered
   into an m x n array and the products are BLAS matrix products (the
@@ -52,12 +52,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import _as_count, as_matrix
 from .rng import philox_rng
 
 # Multiply-add counter for the residual kernel (testing instrumentation).
@@ -85,10 +84,7 @@ class SparseObservations:
 
     def __post_init__(self):
         for name in ("m", "n"):
-            dim = getattr(self, name)
-            if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
-                raise ValueError(f"{name} must be a positive integer, got {dim!r}")
-            object.__setattr__(self, name, int(dim))
+            object.__setattr__(self, name, _as_count(getattr(self, name), name))
         rows, cols = np.asarray(self.row_idx), np.asarray(self.col_idx)
         for name, idx in (("row_idx", rows), ("col_idx", cols)):
             # a float or bool index would be truncated or read as 0/1
@@ -217,8 +213,11 @@ def masked_residual(u, v, obs: SparseObservations) -> np.ndarray:
     return values
 
 
-def _csr(obs: SparseObservations, values: np.ndarray):
-    """S as a scipy CSR array that shares the set's index arrays."""
+def _operator(obs: SparseObservations, values: np.ndarray):
+    """S, the m x n matrix holding `values` on the obs pattern: an array on
+    the dense path, else a scipy CSR array that shares the set's index arrays."""
+    if _dense_path(obs):
+        return _scatter(obs, values)
     # imported here, so that only sparse-path products pay for the import
     from scipy.sparse import csr_array
 
@@ -232,9 +231,7 @@ def sp_dot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.nda
     half-squared loss in U.  Unchecked: ``values`` must be float64 of length
     nnz and ``x`` a finite float64 n x d array.
     """
-    if _dense_path(obs):
-        return _scatter(obs, values) @ x
-    return _csr(obs, values) @ x
+    return _operator(obs, values) @ x
 
 
 def sp_tdot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -243,9 +240,7 @@ def sp_tdot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.nd
     With the residual values R, R^T @ U is the gradient of the masked
     half-squared loss in V.  Unchecked, as ``sp_dot``.
     """
-    if _dense_path(obs):
-        return _scatter(obs, values).T @ x
-    return _csr(obs, values).T @ x
+    return _operator(obs, values).T @ x
 
 
 def _partial_fisher_yates(total: int, k: int, rng) -> np.ndarray:

@@ -5,8 +5,6 @@ One seeded loop draws one corpus of random low-rank 30 x 20 matrices (rank
 factor pairs feed every property but homogeneity, whose own SVD of the
 scaled matrix is what it tests.  Each property records its worst normalized
 violation; a property passes when that maximum stays within tolerance.
-``tolerance_scale`` exists as a testing hook to force failures (scale 0
-makes any nonzero violation fail).
 
 Random orthogonal matrices are Householder QR factors of Gaussian stacks,
 with column signs set so that R has a positive diagonal; that makes them
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius_norm, singular_values, thin_svd, trim_singular_values
+from .linalg import _as_count, frobenius_norm, singular_values, thin_svd, trim_singular_values
 from .quasinorm import (
     Regularizer,
     factor_pair_from_svd,
@@ -88,12 +86,9 @@ def _norms(s: np.ndarray):
     )
 
 
-def run_property_suite(
-    trials: int, seed: int, tolerance_scale: float = 1.0
-) -> list[PropertyResult]:
+def run_property_suite(trials: int, seed: int) -> list[PropertyResult]:
     """Run every property over ``trials`` seeded random matrices."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _as_count(trials, "trials")
     rng = philox_rng(seed)
     worst = dict.fromkeys(_TOLERANCES, -math.inf)
 
@@ -154,8 +149,7 @@ def run_property_suite(
                 abs(bn_a - abs(a) * bn) / (abs(a) * bn),
             )
 
-    results = []
-    for name, tol in _TOLERANCES.items():
-        tol *= tolerance_scale
-        results.append(PropertyResult(name, trials, tol, worst[name], worst[name] <= tol))
-    return results
+    return [
+        PropertyResult(name, trials, tol, worst[name], worst[name] <= tol)
+        for name, tol in _TOLERANCES.items()
+    ]

@@ -31,6 +31,20 @@ def fail_solve(obs, cfg):
     raise SolveFailure("boom", [2.0, 1.0])
 
 
+def with_input(tmp_path, argv):
+    """``argv`` plus a valid ``--input`` file for the commands that read one."""
+    if argv[0] == "complete":
+        path = tmp_path / "ratings.dat"
+        path.write_text(ML_LINES)
+    elif argv[0] == "image":
+        path = tmp_path / "input.pgm"
+        with open(path, "wb") as fh:
+            write_pgm(GrayImage(np.full((8, 8), 100, dtype=np.uint8)), fh)
+    else:
+        return argv
+    return [*argv, "--input", str(path)]
+
+
 def strip_timing_csv(text):
     lines = text.strip().splitlines()
     return "\n".join(",".join(ln.split(",")[:-1]) for ln in lines)
@@ -93,11 +107,6 @@ class TestSynth:
         s2 = strip_timing_json(json.loads((out / "summary.json").read_text()))
         assert body1 == body2
         assert s1 == s2
-
-    def test_invalid_sampling_ratio_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["synth", "--sr", "0", "--out", str(tmp_path / "x")])
-        assert err.value.code == 2
 
     def test_numerical_failure_keeps_partial_outputs(self, tmp_path, monkeypatch, capsys):
         import schattenmc.cli as cli_mod
@@ -195,25 +204,14 @@ class TestComplete:
             for key in ("c2", "c2_lower", "degenerate"):
                 assert rep["bound_terms"][key] == rep["optimality"][key]
 
-    def test_train_frac_one_usage_error(self, tmp_path):
-        data = tmp_path / "r.dat"
-        data.write_text(ML_LINES)
-        with pytest.raises(SystemExit) as err:
-            main(
-                ["complete", "--input", str(data), "--train-frac", "1.0",
-                 "--out", str(tmp_path / "o")]
-            )
-        assert err.value.code == 2
-
     def test_wrong_format_parse_error(self, tmp_path, capsys):
         data = tmp_path / "r.dat"
         data.write_text(ML_LINES)
-        rc = main(
-            ["complete", "--input", str(data), "--format", "csv",
-             "--out", str(tmp_path / "o")]
-        )
+        out = tmp_path / "o"
+        rc = main(["complete", "--input", str(data), "--format", "csv", "--out", str(out)])
         assert rc == 2
         assert "line" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_id_outside_int64_parse_error(self, tmp_path, capsys):
         data = tmp_path / "r.dat"
@@ -247,11 +245,10 @@ class TestComplete:
         assert reports[1]["dims"] == {"users": 7, "items": 4}
 
     def test_missing_input(self, tmp_path):
-        rc = main(
-            ["complete", "--input", str(tmp_path / "absent.dat"),
-             "--out", str(tmp_path / "o")]
-        )
+        out = tmp_path / "o"
+        rc = main(["complete", "--input", str(tmp_path / "absent.dat"), "--out", str(out)])
         assert rc == 2
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_is_numerical_failure(self, tmp_path, capsys):
@@ -303,10 +300,10 @@ class TestImage:
         assert (out / "degraded.pgm").exists()
 
     def test_missing_input_io_error(self, tmp_path):
-        rc = main(
-            ["image", "--input", str(tmp_path / "no.pgm"), "--out", str(tmp_path / "o")]
-        )
+        out = tmp_path / "o"
+        rc = main(["image", "--input", str(tmp_path / "no.pgm"), "--out", str(out)])
         assert rc == 2
+        assert not out.exists()
 
     def test_seeded_reproducible_output(self, tmp_path):
         img = self.low_rank_image(seed=13)
@@ -334,14 +331,6 @@ class TestImage:
         assert rep["manifest"]["wall_time_s"] > 0.0
         assert (out / "degraded.pgm").exists()
 
-    def test_corrupt_frac_validation(self, tmp_path):
-        img = self.low_rank_image(seed=15)
-        path = self.write_image(tmp_path, img)
-        with pytest.raises(SystemExit) as err:
-            main(["image", "--input", str(path), "--corrupt-frac", "1.0",
-                  "--out", str(tmp_path / "o")])
-        assert err.value.code == 2
-
 
 class TestVerify:
     def test_passes_and_reports(self, tmp_path, capsys):
@@ -358,8 +347,11 @@ class TestVerify:
             main(["verify", "--trials", "0"])
         assert err.value.code == 2
 
-    def test_tolerance_injection_fails(self, capsys):
-        rc = main(["verify", "--trials", "3", "--seed", "1", "--tolerance-scale", "0"])
+    def test_tolerance_injection_fails(self, capsys, monkeypatch):
+        import schattenmc.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "_TOLERANCES", dict.fromkeys(verify_mod._TOLERANCES, 0.0))
+        rc = main(["verify", "--trials", "3", "--seed", "1"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_passed"] is False
@@ -372,54 +364,57 @@ def test_version_flag(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, flag",
     [
-        ["synth", "--epsilon", "nan"],
-        ["synth", "--nf", "nan"],
-        ["synth", "--lambda", "inf"],
-        ["synth", "--lambda", "nan"],
-        ["image", "--noise-sigma", "nan"],
+        (["synth", "--sr", "0"], "--sr"),
+        (["synth", "--sr", "1.5"], "--sr"),
+        (["synth", "--nf", "-1"], "--nf"),
+        (["synth", "--nf", "nan"], "--nf"),
+        (["synth", "--lambda", "inf"], "--lambda"),
+        (["synth", "--lambda", "nan"], "--lambda"),
+        (["synth", "--epsilon", "0"], "--epsilon"),
+        (["synth", "--epsilon", "nan"], "--epsilon"),
+        (["synth", "--m", "4", "--n", "6", "--rank", "5"], "--rank"),
+        (["complete", "--train-frac", "1"], "--train-frac"),
+        (["image", "--corrupt-frac", "1"], "--corrupt-frac"),
+        (["image", "--noise-sigma", "nan"], "--noise-sigma"),
     ],
-    ids=["epsilon-nan", "nf-nan", "lambda-inf", "lambda-nan", "noise-sigma-nan"],
+    ids=[
+        "sr-0", "sr-1.5", "nf-negative", "nf-nan", "lambda-inf", "lambda-nan",
+        "epsilon-0", "epsilon-nan", "rank-above-dims", "train-frac-1",
+        "corrupt-frac-1", "noise-sigma-nan",
+    ],
 )
-def test_non_finite_numbers_usage_error(tmp_path, argv):
-    if argv[0] == "image":
-        image = tmp_path / "input.pgm"
-        with open(image, "wb") as fh:
-            write_pgm(GrayImage(np.full((8, 8), 100, dtype=np.uint8)), fh)
-        argv = [*argv, "--input", str(image)]
+def test_flag_rule_usage_error(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as err:
-        main([*argv, "--max-iters", "5", "--out", str(out)])
+        main(with_input(tmp_path, [*argv, "--max-iters", "5", "--out", str(out)]))
     assert err.value.code == 2
+    assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_flag_rule_message(capsys):
+    with pytest.raises(SystemExit):
+        main(["synth", "--sr", "0", "--out", "unused"])
+    assert "argument --sr: must be in (0, 1], got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, kind", [(["--m", "x"], "int"), (["--sr", "x"], "float")], ids=["int", "float"]
+)
+def test_unparsable_flag_names_its_type(capsys, argv, kind):
+    with pytest.raises(SystemExit) as err:
+        main(["synth", *argv, "--out", "unused"])
+    assert err.value.code == 2
+    assert f"argument {argv[0]}: invalid {kind} value: 'x'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["synth", "complete", "image", "verify"])
 def test_negative_seed_usage_error(tmp_path, capsys, command):
     out = tmp_path / "out"
-    argv = [command, "--seed", "-1", "--out", str(out)]
-    if command == "complete":
-        ratings = tmp_path / "ratings.dat"
-        ratings.write_text(ML_LINES)
-        argv += ["--input", str(ratings)]
-    elif command == "image":
-        image = tmp_path / "input.pgm"
-        with open(image, "wb") as fh:
-            write_pgm(GrayImage(np.full((8, 8), 100, dtype=np.uint8)), fh)
-        argv += ["--input", str(image)]
     with pytest.raises(SystemExit) as err:
-        main(argv)
+        main(with_input(tmp_path, [command, "--seed", "-1", "--out", str(out)]))
     assert err.value.code == 2
     assert "--seed" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("scale", ["nan", "-1", "inf"])
-def test_tolerance_scale_usage_error(tmp_path, capsys, scale):
-    out = tmp_path / "verify.json"
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--trials", "2", "--tolerance-scale", scale, "--out", str(out)])
-    assert err.value.code == 2
-    assert "--tolerance-scale" in capsys.readouterr().err
     assert not out.exists()

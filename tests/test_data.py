@@ -106,6 +106,14 @@ class TestGenSynthetic:
             with pytest.raises(ValueError, match="finite"):
                 gen_synthetic(5, 5, 2, nf, 0.5, 0)
 
+    @pytest.mark.parametrize(
+        "sizes, name",
+        [((10, 10, 2.5), "r"), ((10.0, 10, 2), "m"), ((10, 10.0, 2), "n"), ((10, 10, True), "r")],
+    )
+    def test_rejects_non_integer_sizes(self, sizes, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+            gen_synthetic(*sizes, 0.0, 0.5, 0)
+
 
 class TestParseMovielens:
     def test_single_line(self):
@@ -649,3 +657,8 @@ class TestGrayImage:
         img = GrayImage(np.array([[12.0, 200.0]]))
         assert img.pixels.dtype == np.uint8
         assert img.pixels.tolist() == [[12, 200]]
+
+    def test_takes_no_maxval(self):
+        # PGM files are read and written at maxval 255 only
+        with pytest.raises(TypeError):
+            GrayImage(np.zeros((2, 2), np.uint8), 7)

@@ -29,8 +29,9 @@ def test_deterministic_per_seed():
     ]
 
 
-def test_tolerance_scale_hook_forces_failure():
-    results = run_property_suite(trials=5, seed=2, tolerance_scale=0.0)
+def test_zero_tolerances_force_failure(monkeypatch):
+    monkeypatch.setattr("schattenmc.verify._TOLERANCES", dict.fromkeys(_TOLERANCES, 0.0))
+    results = run_property_suite(trials=5, seed=2)
     assert any(not r.passed for r in results)
 
 
@@ -67,4 +68,10 @@ def test_results_follow_tolerance_order():
 @pytest.mark.parametrize("trials", [0, -1])
 def test_rejects_fewer_than_one_trial(trials):
     with pytest.raises(ValueError):
+        run_property_suite(trials=trials, seed=1)
+
+
+@pytest.mark.parametrize("trials", [2.5, True])
+def test_rejects_non_integer_trials(trials):
+    with pytest.raises(ValueError, match="trials must be a positive integer"):
         run_property_suite(trials=trials, seed=1)
