@@ -423,7 +423,7 @@ def corrupt_image(img: GrayImage, fraction: float, noise_sigma: float, seed: int
     obs = SparseObservations(
         h, w, keep_r, keep_c, img.pixels[keep_r, keep_c].astype(np.float64)
     )
-    degraded = img.pixels.astype(np.float64).copy()
+    degraded = img.pixels.astype(np.float64)
     n_bad = int(mask.sum())
     if n_bad:
         noise = philox_rng(noise_seed).normal(127.5, noise_sigma, size=n_bad)

@@ -243,24 +243,65 @@ def sp_tdot(obs: SparseObservations, values: np.ndarray, x: np.ndarray) -> np.nd
     return _operator(obs, values).T @ x
 
 
+def _stable_order(keys: np.ndarray, total: int) -> np.ndarray:
+    """Stable argsort of int64 keys in [0, total): a least-significant-digit
+    radix sort over 16-bit digits, one stable uint16 argsort per digit.
+
+    numpy radix-sorts 16-bit keys and timsorts wider ones; on 131072 draws
+    below 2**18 (one thread) the two digit passes took 3.7 ms, against
+    11.6 ms for one stable argsort of the same keys as uint32 or int64.
+    """
+    order = np.arange(keys.size)
+    for shift in range(0, max((total - 1).bit_length(), 1), 16):
+        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
+
+
 def _partial_fisher_yates(total: int, k: int, rng) -> np.ndarray:
-    # sparse Fisher-Yates: only displaced slots are stored
-    # one vectorized draw gives the same stream as k scalar integers(i, total)
-    draws = rng.integers(np.arange(k), total).tolist()
-    swapped: dict[int, int] = {}
-    out = np.empty(k, dtype=np.int64)
-    for i, j in enumerate(draws):
-        out[i] = swapped.get(j, j)
-        swapped[j] = swapped.get(i, i)
-    return out
+    # Durstenfeld's shuffle of range(total) stopped after k swaps, without a
+    # per-draw loop.  Step t swaps positions t and draws[t] >= t and outputs
+    # what position draws[t] held: src[prev[t]] for the latest earlier step
+    # prev[t] with that target, else draws[t].  src[p], what position p held
+    # when step p read it, is likewise src[L[p]] for the latest step L[p] < p
+    # that targeted p, else p; pointer doubling resolves these chains.
+    # One vectorized draw gives the same stream as k scalar integers(t, total)
+    draws = rng.integers(np.arange(k), total)
+    # steps grouped by target, in step order within each group
+    order = _stable_order(draws, total)
+    targets = draws[order]
+    same = targets[1:] == targets[:-1]
+    # every assignment below writes distinct indices, so no write order matters
+    prev = np.full(k, -1)
+    prev[order[1:][same]] = order[:-1][same]
+    # L[p] is the last step of group p < k.  When that step is p itself, src[p]
+    # stays p, which nothing reads: every later step targets a position above p
+    last = np.ones(k, dtype=bool)
+    last[:-1] = ~same
+    early = last & (targets < k)
+    src = np.arange(k)
+    src[targets[early]] = order[early]
+    # each pass halves every chain: ceil(log2(longest chain)) passes, plus one
+    # that finds nothing left to resolve
+    while True:
+        resolved = src[src]
+        if np.array_equal(resolved, src):
+            break
+        src = resolved
+    return np.where(prev < 0, draws, src[prev])
 
 
 def sample_mask(m: int, n: int, sr: float, seed: int):
     """floor(sr * m * n) distinct positions, uniform without replacement.
 
+    The positions are the first k of a Fisher-Yates shuffle of range(m * n)
+    drawn from ``philox_rng(seed)``, which ``_partial_fisher_yates`` resolves
+    with whole-array numpy passes (a sort of the k draws and pointer
+    doubling), giving the positions of the one-swap-per-draw loop.
     Deterministic per seed.  Returns (rows, cols) index arrays sorted
-    lexicographically by (row, col).
+    lexicographically by (row, col).  m and n must be positive integers.
     """
+    m, n = _as_count(m, "m"), _as_count(n, "n")
     if not (0.0 < sr <= 1.0):
         raise ValueError(f"sampling ratio must be in (0, 1], got {sr}")
     total = m * n
@@ -270,6 +311,5 @@ def sample_mask(m: int, n: int, sr: float, seed: int):
     if sr == 1.0:
         lin = np.arange(total, dtype=np.int64)
     else:
-        lin = _partial_fisher_yates(total, k, rng)
-    lin = np.sort(lin)
-    return lin // n, lin % n
+        lin = np.sort(_partial_fisher_yates(total, k, rng))
+    return np.divmod(lin, n)

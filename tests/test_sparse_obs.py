@@ -419,6 +419,10 @@ class TestSampleMask:
             (1, 1000, 0.01, 0),
             (2**16, 2**16, 1e-7, 3),  # total = 2**32
             (100_000, 50_000, 1e-7, 9),  # total above 2**32
+            (1, 3, 0.3, 0),  # k = 0
+            (20, 20, 0.9975, 2),  # k = total - 1
+            (512, 512, 0.5, 6),  # two 16-bit sort digits, many repeated targets
+            (2**31, 2**31, 2e-18, 5),  # total = 2**62, k = 9: no int64 overflow
         ],
     )
     def test_matches_scalar_draw_loop(self, m, n, sr, seed):
@@ -427,6 +431,30 @@ class TestSampleMask:
         lin = np.sort(reference_partial_fisher_yates(total, k, philox(seed)))
         rows, cols = sample_mask(m, n, sr, seed)
         assert np.array_equal(rows, lin // n) and np.array_equal(cols, lin % n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(total=st.integers(1, 400), frac=st.floats(0, 1), seed=st.integers(0, 2**64 - 1))
+    def test_partial_shuffle_matches_scalar_draw_loop(self, total, frac, seed):
+        k = int(frac * total)  # 0 <= k <= total
+        out = sparse_obs._partial_fisher_yates(total, k, philox(seed))
+        assert out.dtype == np.int64
+        assert np.array_equal(out, reference_partial_fisher_yates(total, k, philox(seed)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(digits=st.lists(st.tuples(*[st.integers(0, 2)] * 4), max_size=40))
+    def test_stable_order_sorts_every_digit(self, digits):
+        # keys that share low 16-bit digits and differ only above them
+        keys = np.array([a + (b << 16) + (c << 32) + (d << 48) for a, b, c, d in digits], dtype=np.int64)
+        order = sparse_obs._stable_order(keys, 2**62)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize(
+        "m, n, name",
+        [(4.0, 4, "m"), (True, 4, "m"), (0, 4, "m"), (-2, 4, "m"), (4, 2.0, "n"), (4, 0, "n")],
+    )
+    def test_rejects_sizes_that_are_not_positive_integers(self, m, n, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+            sample_mask(m, n, 0.5, 1)
 
 
 def _instance(m, n, lin, d, seed):
