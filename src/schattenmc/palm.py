@@ -26,6 +26,12 @@ calls.  A step whose objective exceeds the last accepted one is discarded
 for the plain step and t restarts at 1 (monotone restart: Li & Lin, NeurIPS
 2015), so the objective never increases.
 
+The loop's shrinkage (``_svt``) and spectral norm (``_sigma_max``) take a
+block's spectrum from LAPACK ``eigh`` of its d x d Gram matrix
+(``linalg._gram_eigh``), never from an SVD of the tall block.  That
+resolves singular values to about sqrt(d eps) sigma_1 only and moves
+iterates at rounding level; the public ``svt_prox`` stays on LAPACK's SVD.
+
 ``step`` checks its factors once on entry and ``solve`` starts from factors
 it made; from there the iteration calls the unchecked kernels of
 ``sparse_obs`` and ``linalg``.  Two checks stay in the loop: each step
@@ -47,8 +53,7 @@ from .linalg import (
     ThinSVD,
     _as_count,
     _frobenius_norm,
-    _sigma_max,
-    _svd,
+    _gram_eigh,
     as_matrix,
     frobenius_norm,
     nuclear_norm,
@@ -176,7 +181,8 @@ class SolveFailure(NumericalError):
 
 
 def svt_prox(a, tau: float) -> np.ndarray:
-    """Singular value shrinkage: minimizer of tau ||X||_* + 0.5 ||X - a||_F^2.
+    """Singular value shrinkage: minimizer of tau ||X||_* + 0.5 ||X - a||_F^2,
+    by LAPACK's thin SVD (the solver's loop shrinks by the Gram route).
 
     tau = 0 is the identity and returns a copy of ``a`` unchanged.
     """
@@ -187,17 +193,32 @@ def svt_prox(a, tau: float) -> np.ndarray:
         return a.copy()
     if 0 in a.shape:
         raise ValueError("svt_prox requires at least one row and one column")
-    return _svt(a, tau)[0]
+    f = thin_svd(a)
+    return (f.left * np.maximum(f.singular_values - tau, 0.0)) @ f.right.T
 
 
 def _svt(a: np.ndarray, tau: float):
-    """Shrinkage of the finite float64 matrix ``a`` (unchecked) and the
-    singular values of the result; tau = 0 returns ``a`` itself."""
+    """The loop's shrinkage of the nonempty finite float64 block ``a``
+    (unchecked) by the Gram route, and the singular values of the result,
+    non-increasing; tau = 0 returns ``a`` itself.
+
+    With a^T a = R diag(s^2) R^T the result is a R diag(max(s - tau, 0) / s)
+    R^T, or the same map applied from the left when ``a`` is wide.
+    """
     if tau == 0.0:
-        return a, _svd(a, compute_uv=False)
-    left, sigma, right_t = _svd(a, compute_uv=True)
-    shrunk = np.maximum(sigma - tau, 0.0)
-    return (left * shrunk) @ right_t, shrunk
+        return a, _gram_eigh(a, vectors=False)[0][::-1]
+    s, basis = _gram_eigh(a, vectors=True)
+    shrunk = np.maximum(s - tau, 0.0)
+    # tau > 0 here, so a zero s divides 0 by tau
+    weights = (basis * (shrunk / np.maximum(s, tau))) @ basis.T
+    out = a @ weights if a.shape[0] >= a.shape[1] else weights @ a
+    return out, shrunk[::-1]
+
+
+def _sigma_max(a: np.ndarray) -> float:
+    """||a||_2 of the nonempty finite float64 block ``a`` (unchecked) by the
+    Gram route: the square root of the Gram's top eigenvalue."""
+    return float(_gram_eigh(a, vectors=False)[0][-1])
 
 
 def frob_prox(b, l: float, lam: float) -> np.ndarray:

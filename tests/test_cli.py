@@ -149,6 +149,27 @@ class TestSynth:
         assert summary["runs_completed"] == 0
         assert summary["manifest"]["wall_time_s"] > 0.0
 
+    def test_eigh_failure_exits_3_with_partial_trace(self, tmp_path, monkeypatch, capsys):
+        # the loop's shrinkage runs on LAPACK eigh; its third call fails,
+        # inside the first run's third step
+        original, calls = np.linalg.eigh, {"n": 0}
+
+        def flaky(a, *args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", flaky)
+        out = tmp_path / "fail"
+        rc = main(["synth", "--m", "12", "--n", "12", "--rank", "2", "--out", str(out)])
+        assert rc == 3
+        assert "eigh did not converge" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert "eigh did not converge" in summary["error"]
+        assert len(summary["objective_trace"]) == 3
+        assert summary["runs_completed"] == 0
+
 
 class TestComplete:
     def test_fixture_run(self, tmp_path):

@@ -101,6 +101,154 @@ class TestFrobProx:
             frob_prox(np.eye(2), 0.0, 1.0)
 
 
+def orthonormal(rng, rows, cols):
+    return np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+
+
+@st.composite
+def gram_blocks(draw):
+    """(block, tau): tall or wide blocks with Gaussian, zero, rank-deficient,
+    clustered or ill-conditioned spectra, at scales 1e-3 to 1e3, and tau
+    from 0 up to twice the block's top singular value."""
+    m = draw(st.integers(min_value=1, max_value=40))
+    n = draw(st.integers(min_value=1, max_value=12))
+    if draw(st.booleans()):
+        m, n = n, m
+    k = min(m, n)
+    rng = philox(draw(st.integers(min_value=0, max_value=2**31)))
+    kind = draw(st.sampled_from(["gaussian", "zero", "rank-deficient", "clustered", "ill-conditioned"]))
+    if kind == "gaussian":
+        a = rng.standard_normal((m, n))
+    else:
+        if kind == "rank-deficient":
+            sig = np.where(np.arange(k) < draw(st.integers(0, k - 1)), 1.0, 0.0)
+        elif kind == "clustered":
+            sig = np.sort(1.0 + 1e-10 * rng.standard_normal(k))[::-1]
+        elif kind == "ill-conditioned":
+            sig = np.logspace(0.0, -12.0, k)
+        else:
+            sig = np.zeros(k)
+        a = (orthonormal(rng, m, k) * sig) @ orthonormal(rng, n, k).T
+    a *= 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
+    tau = draw(st.sampled_from([0.0, 1.0])) * 10.0 ** draw(st.floats(min_value=-16.0, max_value=0.3))
+    return a, tau * (sigma_max(a) or 1.0)
+
+
+def lapack_svt(a, tau):
+    """``palm._svt`` on the LAPACK route: ``svt_prox`` and the shrunk spectrum."""
+    shrunk = np.maximum(np.linalg.svd(a, compute_uv=False) - tau, 0.0)
+    return (a if tau == 0.0 else svt_prox(a, tau)), shrunk
+
+
+class TestGramRoute:
+    """The loop's shrinkage and spectral norm, from LAPACK ``eigh`` of the
+    block's d x d Gram, d = min(m, n), agree with the LAPACK-SVD oracles
+    ``svt_prox`` and ``sigma_max`` to the Gram's resolution sqrt(d eps)
+    sigma_1 (Golub & Van Loan, 8.6).
+
+    The shrunk spectrum gets sqrt((m + n) eps) sigma_1: a zero singular
+    value comes back as the square root of the Gram's rounding, which also
+    grows with the length m + n - d of its sums.  A 120 x 2 rank-1 block
+    reached 1.2 sqrt(2 eps) sigma_1 there, while its shrunk block and
+    spectral norm stay at a few eps sigma_1.
+    """
+
+    def assert_matches_lapack(self, a, tau):
+        # errors are measured in units of sigma_1, so that no norm of a
+        # block near 1e300 overflows; a zero block must come back exactly
+        sigma_1 = sigma_max(a)
+        unit = sigma_1 or 1.0
+        eps = np.finfo(float).eps if sigma_1 else 0.0
+        bound = math.sqrt(min(a.shape) * eps)
+        out, spectrum = palm._svt(a, tau)
+        want, want_spectrum = lapack_svt(a, tau)
+        assert np.isfinite(out).all()
+        assert np.linalg.norm((out - want) / unit) <= bound
+        assert abs(palm._sigma_max(a) - sigma_1) / unit <= bound
+        assert spectrum.shape == want_spectrum.shape
+        assert np.all(np.diff(spectrum) <= 0.0)
+        assert np.abs(spectrum - want_spectrum).max() / unit <= math.sqrt(sum(a.shape) * eps)
+        if tau == 0.0:
+            assert out is a
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=gram_blocks())
+    def test_matches_the_lapack_oracles(self, case):
+        self.assert_matches_lapack(*case)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
+    @pytest.mark.parametrize("shape", [(30, 6), (6, 30)])
+    def test_blocks_at_extreme_scales(self, scale, shape):
+        # the Gram of such a block underflows to zero or overflows unless
+        # the block is first scaled by a power of two
+        a = scale * low_rank(philox(21), *shape, 4)
+        for tau in (0.0, 1e-3 * sigma_max(a), 0.5 * sigma_max(a)):
+            self.assert_matches_lapack(a, tau)
+        assert palm._sigma_max(a) == pytest.approx(sigma_max(a), rel=1e-14)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    def test_solves_at_extreme_scales_match_the_lapack_route(self, monkeypatch, reg, lam, scale):
+        o = gen_synthetic(30, 30, 3, 0.1, 0.5, 1).observations
+        obs = SparseObservations(o.m, o.n, o.row_idx, o.col_idx, o.values * scale)
+        cfg = SolverConfig(reg=reg, lam=lam, d=3, epsilon=1e-300, max_iters=30)
+
+        def outcome():
+            try:
+                return solve(obs, cfg)
+            except SolveFailure as exc:
+                return exc
+
+        gram = outcome()
+        monkeypatch.setattr(palm, "_svt", lapack_svt)
+        monkeypatch.setattr(palm, "_sigma_max", sigma_max)
+        lapack = outcome()
+        assert type(gram) is type(lapack)
+        if isinstance(lapack, SolveFailure):
+            assert str(gram) == str(lapack)
+            assert np.array_equal(gram.objective_trace, lapack.objective_trace)
+            return
+        assert (gram.iterations, gram.restarts, gram.converged) == (
+            lapack.iterations, lapack.restarts, lapack.converged
+        )
+        np.testing.assert_allclose(gram.objective_trace, lapack.objective_trace, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(gram.lipschitz_trace, lapack.lipschitz_trace, rtol=1e-9, atol=0.0)
+        for got, want in ((gram.factors.u, lapack.factors.u), (gram.factors.v, lapack.factors.v)):
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("routine", ["eigh", "eigvalsh"])
+    def test_eigh_failure_is_numerical_error(self, monkeypatch, routine):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, routine, no_convergence)
+        a = philox(22).standard_normal((8, 3))
+        with pytest.raises(NumericalError, match="eigh did not converge"):
+            palm._svt(a, 0.5) if routine == "eigh" else palm._sigma_max(a)
+
+    def test_eigh_failure_in_the_loop_is_solve_failure(self, monkeypatch):
+        # FN makes one eigh call per step (its U-step shrinkage); the fourth
+        # fails, after the start and three accepted steps
+        inst = gen_synthetic(20, 20, 2, 0.1, 0.5, 61)
+        cfg = SolverConfig(reg=Regularizer.FN, lam=1.0, d=3, max_iters=50, seed=7)
+        full = solve(inst.observations, cfg)
+        original, calls = np.linalg.eigh, {"n": 0}
+
+        def flaky(a, *args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 4:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", flaky)
+        with pytest.raises(SolveFailure, match="eigh did not converge") as exc_info:
+            solve(inst.observations, cfg)
+        assert np.array_equal(exc_info.value.objective_trace, full.objective_trace[:4])
+
+
 class TestLipschitz:
     """``step``'s l_g is ||V||_2^2 at the iterate it steps from."""
 
