@@ -8,18 +8,18 @@ values as a call on it alone.  The spectral norm, ``sigma_max``, is the top
 singular value of that route; the package exports it under that one name.
 A LAPACK convergence failure surfaces as ``NumericalError``.
 
-The solver's loop takes the spectra of its m x d and n x d blocks by a
-second route, ``_gram_eigh``: LAPACK ``eigh`` of the block's d x d Gram
-matrix, after an exact power-of-two prescale that keeps the Gram clear of
-overflow and underflow.  It is several times cheaper than the thin SVD of
-a tall block, and it resolves singular values to about sqrt(d eps)
-sigma_1 instead of eps sigma_1.  The public functions stay on the SVD
-route, the package's exact oracles.
+The solver takes the spectra of its m x d and n x d blocks by a second
+route, ``_gram_eigh``: LAPACK ``eigh`` of the block's d x d Gram matrix,
+after an exact power-of-two prescale that keeps the Gram clear of overflow
+and underflow.  It is several times cheaper than the thin SVD of a tall
+block, and it resolves singular values to about sqrt(d eps) sigma_1
+instead of eps sigma_1.  The public functions stay on the SVD route, the
+package's exact oracles.
 
 The public functions check their input (2-D or a stack, finite).  The
-unchecked ``_svd``, ``_gram_eigh`` and ``_frobenius_norm`` serve callers
-that hold float64 matrices known to be finite, such as the solver's
-iterates.
+unchecked ``_svd``, ``_gram_eigh``, ``_frobenius_norm`` and
+``_sum_of_squares`` serve callers that hold float64 arrays known to be
+finite, such as the solver's iterates.
 
 Derived scalar norms and rank decisions trim singular values below
 ``SIGMA_TRIM_REL * sigma_1`` of their own matrix.
@@ -132,11 +132,11 @@ def sigma_max(a) -> float:
 
 
 def _gram_eigh(a: np.ndarray, vectors: bool):
-    """Singular values of the nonempty finite float64 matrix ``a``
-    (unchecked), ascending, from LAPACK ``eigh`` of its smaller Gram matrix:
-    a^T a, or a a^T when ``a`` is wide.  With ``vectors``, also the
-    eigenvectors as columns: the right singular vectors of ``a``, or the
-    left ones when it is wide; else None.
+    """Singular values of the finite float64 matrix ``a`` (unchecked; none
+    when it has no columns), ascending, from LAPACK ``eigh`` of its smaller
+    Gram matrix: a^T a, or a a^T when ``a`` is wide.  With ``vectors``,
+    also the eigenvectors as columns: the right singular vectors of ``a``,
+    or the left ones when it is wide; else None.
 
     ``a`` is first scaled by the power of two that brings max|a| into
     [0.5, 1), and the values are scaled back by it: the Gram of no finite
@@ -147,7 +147,7 @@ def _gram_eigh(a: np.ndarray, vectors: bool):
     sigma_1, since the Gram's rounding also grows with the length of its
     sums.
     """
-    exponent = math.frexp(float(np.abs(a).max()))[1]
+    exponent = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
     scaled = np.ldexp(a, -exponent)
     gram = scaled.T @ scaled if a.shape[0] >= a.shape[1] else scaled @ scaled.T
     try:
@@ -173,3 +173,10 @@ def frobenius_norm(a) -> float:
 
 def _frobenius_norm(a: np.ndarray) -> float:
     return math.sqrt(float(np.sum(a * a)))
+
+
+def _sum_of_squares(x: np.ndarray) -> float:
+    """x . x of a 1-D float64 array, summed by numpy's own loop: a BLAS dot
+    splits a long sum across threads, so its bits would follow the thread
+    count."""
+    return float(np.einsum("i,i->", x, x))

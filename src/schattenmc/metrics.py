@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm
+from .linalg import _sum_of_squares, as_matrix, frobenius_norm
 from .palm import OptimalityReport, SolverConfig, optimality_residual
 from .quasinorm import FactorPair, Regularizer
 from .sparse_obs import SparseObservations, masked_residual
@@ -48,7 +48,7 @@ def rmse(fp: FactorPair, test: SparseObservations) -> float:
     if test.nnz == 0:
         raise ValueError("empty test set")
     r = masked_residual(fp.u, fp.v, test)
-    return math.sqrt(float(r @ r) / test.nnz)
+    return math.sqrt(_sum_of_squares(r) / test.nnz)
 
 
 def psnr(x, z, max_value: float = 255.0) -> float:

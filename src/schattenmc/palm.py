@@ -26,11 +26,16 @@ calls.  A step whose objective exceeds the last accepted one is discarded
 for the plain step and t restarts at 1 (monotone restart: Li & Lin, NeurIPS
 2015), so the objective never increases.
 
-The loop's shrinkage (``_svt``) and spectral norm (``_sigma_max``) take a
-block's spectrum from LAPACK ``eigh`` of its d x d Gram matrix
-(``linalg._gram_eigh``), never from an SVD of the tall block.  That
-resolves singular values to about sqrt(d eps) sigma_1 only and moves
-iterates at rounding level; the public ``svt_prox`` stays on LAPACK's SVD.
+Every spectrum a solve takes after its initializer comes from LAPACK
+``eigh`` of a block's d x d Gram matrix (``linalg._gram_eigh``), never from
+an SVD of the tall block: the loop's shrinkage (``_svt``) and spectral norm
+(``_sigma_max``), the start's ||U||_*, ||V||_2 and BiN's ||V||_*, and the
+optimality report's ||Q||_2 and ||U||_*.  That resolves singular values to
+about sqrt(d eps) sigma_1 only and moves iterates at rounding level.  A
+spectral solve makes one LAPACK SVD, of its initializer's block, and two
+QRs; the public ``svt_prox`` and ``objective`` stay on LAPACK's SVD as the
+oracles.  Loss sums go through ``linalg._sum_of_squares``, never a BLAS
+dot, so their bits do not follow the BLAS thread count.
 
 ``step`` checks its factors once on entry and ``solve`` starts from factors
 it made; from there the iteration calls the unchecked kernels of
@@ -54,10 +59,10 @@ from .linalg import (
     _as_count,
     _frobenius_norm,
     _gram_eigh,
+    _sum_of_squares,
     as_matrix,
     frobenius_norm,
     nuclear_norm,
-    sigma_max,
     thin_svd,
 )
 from .quasinorm import FactorPair, Regularizer, factor_pair_from_svd
@@ -149,6 +154,9 @@ class OptimalityReport:
     nuclear shrink coefficient at an exact critical point; duality_gap is
     |<Q, U> - coeff * ||U||_*|; c2 is ||Q||_F / ||P_omega(D - U V^T)||_F
     with lower bound coeff / sqrt(gamma), gamma = ||P_omega(D)||_F^2.
+    ||Q||_2 and ||U||_* are read from the d x d Gram route, untrimmed, to
+    about sqrt(d eps) times the top singular value.  Factors with no
+    columns give q_spectral = duality_gap = 0.
     """
 
     q_spectral: float
@@ -206,7 +214,7 @@ def _svt(a: np.ndarray, tau: float):
     R^T, or the same map applied from the left when ``a`` is wide.
     """
     if tau == 0.0:
-        return a, _gram_eigh(a, vectors=False)[0][::-1]
+        return a, _singular_values(a)
     s, basis = _gram_eigh(a, vectors=True)
     shrunk = np.maximum(s - tau, 0.0)
     # tau > 0 here, so a zero s divides 0 by tau
@@ -215,10 +223,24 @@ def _svt(a: np.ndarray, tau: float):
     return out, shrunk[::-1]
 
 
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of the finite float64 block ``a`` (unchecked) by the
+    Gram route, non-increasing and untrimmed."""
+    return _gram_eigh(a, vectors=False)[0][::-1]
+
+
+def _nuclear_norm(a: np.ndarray) -> float:
+    """||a||_* of the finite float64 block ``a`` (unchecked) by the Gram
+    route, untrimmed."""
+    return float(np.sum(_singular_values(a)))
+
+
 def _sigma_max(a: np.ndarray) -> float:
-    """||a||_2 of the nonempty finite float64 block ``a`` (unchecked) by the
-    Gram route: the square root of the Gram's top eigenvalue."""
-    return float(_gram_eigh(a, vectors=False)[0][-1])
+    """||a||_2 of the finite float64 block ``a`` (unchecked) by the Gram
+    route: the square root of the Gram's top eigenvalue; 0.0 for an empty
+    block."""
+    s = _singular_values(a)
+    return float(s[0]) if s.size else 0.0
 
 
 def frob_prox(b, l: float, lam: float) -> np.ndarray:
@@ -234,11 +256,12 @@ def _frob_rescale(b: np.ndarray, l: float, lam: float) -> np.ndarray:
     return (l / (l + 2.0 * lam / 3.0)) * b
 
 
-def _reg_term(u, v, config: SolverConfig) -> float:
+def _reg_term(u, v, config: SolverConfig, nuclear) -> float:
+    """The penalty at (u, v), its nuclear norms taken by ``nuclear``."""
     if config.lam == 0.0:
         return 0.0
-    v_term = frobenius_norm(v) ** 2 if config.reg is Regularizer.FN else nuclear_norm(v)
-    return config.reg.penalty(config.lam, nuclear_norm(u), v_term)
+    v_term = frobenius_norm(v) ** 2 if config.reg is Regularizer.FN else nuclear(v)
+    return config.reg.penalty(config.lam, nuclear(u), v_term)
 
 
 def _finite(block: np.ndarray, name: str) -> np.ndarray:
@@ -249,9 +272,10 @@ def _finite(block: np.ndarray, name: str) -> np.ndarray:
 
 
 def objective(fp: FactorPair, obs: SparseObservations, config: SolverConfig) -> float:
-    """Penalty plus half the squared masked residual norm."""
+    """Penalty plus half the squared masked residual norm, the penalty's
+    norms by LAPACK's SVD: the oracle of the solver's objective trace."""
     r = masked_residual(fp.u, fp.v, obs)
-    return _reg_term(fp.u, fp.v, config) + 0.5 * float(r @ r)
+    return _reg_term(fp.u, fp.v, config, nuclear_norm) + 0.5 * _sum_of_squares(r)
 
 
 def _add_momentum(block: np.ndarray, x, x_prev, beta: float) -> None:
@@ -273,8 +297,10 @@ class _Iterate(NamedTuple):
 
 
 def _start(u, v, r: np.ndarray, config: SolverConfig) -> _Iterate:
-    """The iterate at the checked factors (u, v) with residual values r there."""
-    return _Iterate(u, v, _sigma_max(v), r, _reg_term(u, v, config) + 0.5 * float(r @ r))
+    """The iterate at the checked factors (u, v), d >= 1, with residual
+    values r there; its spectra come from the Gram route, as in the loop."""
+    reg_val = _reg_term(u, v, config, _nuclear_norm)
+    return _Iterate(u, v, _sigma_max(v), r, reg_val + 0.5 * _sum_of_squares(r))
 
 
 def _advance(it: _Iterate, obs, config: SolverConfig, beta: float = 0.0, prev=None):
@@ -312,7 +338,7 @@ def _advance(it: _Iterate, obs, config: SolverConfig, beta: float = 0.0, prev=No
     reg_val = config.reg.penalty(lam, float(np.sum(su)), v_term)
 
     r1 = _residual(u1, v1, obs)
-    return _Iterate(u1, v1, sig_v1, r1, reg_val + 0.5 * float(r1 @ r1)), l_g, l_h
+    return _Iterate(u1, v1, sig_v1, r1, reg_val + 0.5 * _sum_of_squares(r1)), l_g, l_h
 
 
 def step(fp: FactorPair, obs: SparseObservations, config: SolverConfig):
@@ -320,9 +346,12 @@ def step(fp: FactorPair, obs: SparseObservations, config: SolverConfig):
     l_g, l_h).
 
     Lipschitz constants are recomputed fresh from the current iterate, and
-    a zero factor's constant is LIPSCHITZ_FLOOR.
+    a zero factor's constant is LIPSCHITZ_FLOOR.  The factors need at least
+    one column.
     """
     u, v = _check_pair(fp.u, fp.v, obs)
+    if u.shape[1] == 0:
+        raise ValueError(f"step needs factors with at least one column, got {u.shape[1]}")
     it, l_g, l_h = _advance(_start(u, v, _residual(u, v, obs), config), obs, config)
     return FactorPair(it.u, it.v), l_g, l_h
 
@@ -341,7 +370,10 @@ def solve(obs: SparseObservations, config: SolverConfig) -> SolveReport:
     starting at the initial point), the per-iteration Lipschitz pairs, the
     number of rejected inertial steps, the convergence flag, and first-order
     optimality diagnostics at the final iterate.  Deterministic for a fixed
-    config.
+    config and BLAS thread count; at d <= 10 the thread count has not moved
+    a bit in any probe, but the Gram products of image-shaped blocks
+    (d ~ 100) sum in a thread-dependent order, so their iterates move at
+    rounding level with it.
     """
     trace, lips = [], []
     converged = False
@@ -399,16 +431,16 @@ def _optimality(fp: FactorPair, r: np.ndarray, obs, config: SolverConfig) -> Opt
     """``optimality_residual`` at (U, V) with residual values r there."""
     q = -sp_dot(obs, r, fp.v)  # P_omega(D - U V^T) V
     coeff = config.reg.shrink_coeff(config.lam)
-    q_spectral = sigma_max(q)
-    gap = abs(float(np.sum(q * fp.u)) - coeff * nuclear_norm(fp.u))
-    rnorm = math.sqrt(float(r @ r))
+    q_spectral = _sigma_max(q)
+    gap = abs(float(np.sum(q * fp.u)) - coeff * _nuclear_norm(fp.u))
+    rnorm = math.sqrt(_sum_of_squares(r))
     if rnorm == 0.0:
         c2 = math.inf
         degenerate = True
     else:
         c2 = math.sqrt(float(np.sum(q * q))) / rnorm
         degenerate = False
-    gamma = float(obs.values @ obs.values)
+    gamma = _sum_of_squares(obs.values)
     c2_lower = coeff / math.sqrt(gamma) if gamma > 0.0 else math.inf
     return OptimalityReport(q_spectral, gap, c2, c2_lower, degenerate)
 
@@ -421,12 +453,17 @@ def _truncated_sparse_svd(obs: SparseObservations, values, k: int, rng) -> ThinS
     2q + 1 products with the matrix in all; the thin SVD of the matrix times
     the final basis is then truncated to its leading k triplets, returned as
     a ``ThinSVD`` of k columns.  The p extra columns stand in for the
-    spectral gap at sigma_k that the data need not have.  Bases are
+    spectral gap at sigma_k that the data need not have.  The Gaussian block
+    is not orthonormalized, since its QR factor spans the same space; it is
+    only scaled by 2^-e, e = floor(log2 n + 1) // 2, which brings its
+    columns' expected norm sqrt(n) into [1/sqrt(2), sqrt(2)), so its
+    product overflows no sooner than that of an orthonormal block.  The power step's blocks are
     orthonormalized by Householder QR, which also spans a rank-deficient
-    block with w orthonormal columns.
+    block with w orthonormal columns, so the final basis is orthonormal as
+    the right factor needs (hence q >= 1).
     """
     w = min(k + _INIT_OVERSAMPLE, obs.m, obs.n)
-    q = np.linalg.qr(rng.standard_normal((obs.n, w)))[0]
+    q = np.ldexp(rng.standard_normal((obs.n, w)), -(obs.n.bit_length() // 2))
     for _ in range(_INIT_POWER_ITERS):
         left = np.linalg.qr(_finite(sp_dot(obs, values, q), "initializer block"))[0]
         q = np.linalg.qr(_finite(sp_tdot(obs, values, left), "initializer block"))[0]
@@ -439,14 +476,15 @@ def initial_factors(obs: SparseObservations, config: SolverConfig) -> FactorPair
 
     SPECTRAL_SCALED splits the rank-d truncated SVD of the inverse-sampling
     scaled observed matrix (m*n/|omega|) * P_omega(D), approximated by a
-    seeded randomized range finder: a block of d + 10 columns (at most
-    min(m, n)) takes one power step, three products with the observed
-    matrix, and its thin SVD is truncated to the leading min(d, m, n)
-    triplets.  The split is the penalty's optimal factorization,
-    ``quasinorm.factor_pair_from_svd``, which also zeroes the triplets at or
-    below the numerical-rank trim; a mismatched split leaves a
-    factor-rebalancing transient that the alternation crosses only at
-    O(lam) speed.  GAUSSIAN_SCALED draws i.i.d. normal entries with
+    seeded randomized range finder: a Gaussian block of d + 10 columns (at
+    most min(m, n)), scaled by a power of two but not orthonormalized,
+    takes one power step, three products with the observed matrix and two
+    QRs, and the thin SVD of the last product is truncated to the leading
+    min(d, m, n) triplets.  The split is the penalty's optimal
+    factorization, ``quasinorm.factor_pair_from_svd``, which also zeroes
+    the triplets at or below the numerical-rank trim; a mismatched split
+    leaves a factor-rebalancing transient that the alternation crosses only
+    at O(lam) speed.  GAUSSIAN_SCALED draws i.i.d. normal entries with
     variance 1/sqrt(d) so (U V^T)_ij has unit variance.
     """
     m, n, d = obs.m, obs.n, config.d

@@ -15,6 +15,8 @@ skipped when it is not available (see README).
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -361,21 +363,32 @@ def power_law_set(seed, m, n, nnz, rank, noise):
 
 # (held-out RMSE, final objective, iterations, converged) of each penalty on
 # the power-law set of the test below, frozen bit for bit: the criterion-7 values all
-# come from dense-path solves, and these are the sparse path's.  A change
-# that moves them is a declared behaviour change and re-freezes them.
+# come from dense-path solves, and these are the sparse path's.  The BiN
+# trace is the same at 1 and 2 BLAS threads
+# (test_sparse_path_trace_is_blas_thread_invariant), and so was FN's in
+# every probe.  A change that moves them is a declared behaviour change and
+# re-freezes them.
 FROZEN_SPARSE_PATH = {
-    "fn": (0.16903713809615006, 1971.2039253377184, 389, True),
-    "bin": (0.1221669081461045, 760.0354178790351, 870, True),
+    "fn": (0.16903713809614784, 1971.2039253377184, 389, True),
+    "bin": (0.12216690814610699, 760.0354178790348, 870, True),
 }
+
+
+def sparse_path_split():
+    """The train and test halves of the frozen sparse-path solves."""
+    return split_train_test(power_law_set(11, 600, 400, 24_000, 3, 0.1), 0.8, 12)
+
+
+def sparse_path_config(reg):
+    return SolverConfig(reg=reg, lam=10.0, d=5, epsilon=1e-4, max_iters=1500, seed=13)
 
 
 def test_sparse_path_quality_regression():
     # 600 x 400 with ~23k entries (density ~0.1) takes the sparse path
-    train, test = split_train_test(power_law_set(11, 600, 400, 24_000, 3, 0.1), 0.8, 12)
+    train, test = sparse_path_split()
     assert not sparse_obs._dense_path(train) and not sparse_obs._dense_path(test)
     for reg in (Regularizer.FN, Regularizer.BIN):
-        cfg = SolverConfig(reg=reg, lam=10.0, d=5, epsilon=1e-4, max_iters=1500, seed=13)
-        rep = solve(train, cfg)
+        rep = solve(train, sparse_path_config(reg))
         got = (rmse(rep.factors, test), float(rep.objective_trace[-1]), rep.iterations, rep.converged)
         assert got == FROZEN_SPARSE_PATH[reg.value], f"{reg.value}: {got}"
     report(
@@ -383,6 +396,38 @@ def test_sparse_path_quality_regression():
         "600x400 power-law set: held-out RMSE, final objective, iterations and "
         "converged match the frozen values for fn and bin",
     )
+
+
+_SPARSE_PATH_TRACE = """
+import sys
+from schattenmc.palm import solve
+from schattenmc.quasinorm import Regularizer
+from test_acceptance import sparse_path_config, sparse_path_split
+rep = solve(sparse_path_split()[0], sparse_path_config(Regularizer.BIN))
+sys.stdout.write(rep.objective_trace.tobytes().hex())
+"""
+
+
+def test_sparse_path_trace_is_blas_thread_invariant():
+    # the solver sums its ~19k-entry loss without BLAS, whose dot splits a
+    # sum of more than 10000 terms across threads; each process reads its
+    # BLAS thread count once, at import
+    here = Path(__file__).resolve().parent
+
+    def trace_hex(threads):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = str(threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _SPARSE_PATH_TRACE],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    one = trace_hex(1)
+    assert len(one) > 16 and one == trace_hex(2)
+    report("sparse path", "bin objective trace byte-identical at 1 and 2 BLAS threads")
 
 
 def test_criterion_10_sparse_gradient_checks():

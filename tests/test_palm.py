@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from schattenmc import palm, sigma_max, sparse_obs
 from schattenmc.data import gen_synthetic
-from schattenmc.linalg import NumericalError, frobenius_norm, nuclear_norm
+from schattenmc.linalg import SIGMA_TRIM_REL, NumericalError, frobenius_norm, nuclear_norm
 from schattenmc.metrics import rse
 from schattenmc.palm import (
     InitStrategy,
@@ -205,6 +205,7 @@ class TestGramRoute:
         gram = outcome()
         monkeypatch.setattr(palm, "_svt", lapack_svt)
         monkeypatch.setattr(palm, "_sigma_max", sigma_max)
+        monkeypatch.setattr(palm, "_singular_values", lambda a: np.linalg.svd(a, compute_uv=False))
         lapack = outcome()
         assert type(gram) is type(lapack)
         if isinstance(lapack, SolveFailure):
@@ -319,6 +320,22 @@ class TestBoundaryChecks:
         getattr(fp, which)[0, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             step(fp, obs, SolverConfig(reg=Regularizer.BIN, lam=1.0, d=2))
+
+    def test_step_rejects_zero_columns(self):
+        _, obs, _ = small_instance(63)
+        empty = FactorPair(np.zeros((10, 0)), np.zeros((8, 0)))
+        with pytest.raises(ValueError, match="at least one column, got 0"):
+            step(empty, obs, SolverConfig(reg=Regularizer.FN, lam=1.0, d=2))
+
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    def test_optimality_of_zero_columns(self, reg):
+        # Q = P_omega(D) V is m x 0: no spectrum, and no inner product
+        _, obs, _ = small_instance(63)
+        empty = FactorPair(np.zeros((10, 0)), np.zeros((8, 0)))
+        opt = optimality_residual(empty, obs, SolverConfig(reg=reg, lam=1.0, d=2))
+        assert (opt.q_spectral, opt.duality_gap, opt.c2, opt.degenerate) == (0.0, 0.0, 0.0, False)
+        gamma = float(np.sum(obs.values**2))
+        assert opt.c2_lower == pytest.approx(reg.shrink_coeff(1.0) / math.sqrt(gamma), rel=1e-14)
 
     def test_step_rejects_shape_mismatch(self):
         fp, obs, _ = small_instance(18)
@@ -799,11 +816,15 @@ class TestSolve:
             (Regularizer.BIN, 1e290, "U step"),
             (Regularizer.FN, 1e305, "U step"),
             (Regularizer.BIN, 1e305, "U step"),
+            (Regularizer.FN, 3e306, "U step"),
+            (Regularizer.BIN, 3e306, "U step"),
         ],
     )
     def test_overflow_in_the_loop_is_solve_failure(self, reg, scale, block):
         # the loop trusts its own iterates; the step-block checks still turn
-        # an overflow into SolveFailure, not ValueError
+        # an overflow into SolveFailure, not ValueError.  At 3e306 the
+        # initializer's products fit only because its Gaussian block is
+        # scaled to columns of norm about 1, as an orthonormal block has
         o = gen_synthetic(30, 30, 3, 0.1, 0.5, 1).observations
         big = SparseObservations(o.m, o.n, o.row_idx, o.col_idx, o.values * scale)
         with pytest.raises(SolveFailure, match=f"{block} has non-finite") as exc_info:
@@ -847,6 +868,57 @@ class TestSolveInvariants:
         assert rep.iterations <= cfg.max_iters
         assert 0 <= rep.restarts <= max(rep.iterations - 1, 0)
         assert tr.shape == (rep.iterations + 1,)
+
+
+class TestStartAndReportOracles:
+    """``solve`` reads the spectra of its first objective and of its
+    optimality report from the Gram route; ``objective``, ``sigma_max`` and
+    ``nuclear_norm`` on LAPACK's SVD are their oracles.
+
+    A spectral norm agrees within TestGramRoute's sqrt(k eps) sigma_1, k
+    the block's smaller side.  A nuclear norm sums k values, each within
+    that class's sqrt((m + n) eps) sigma_1 of its SVD value, and the oracle
+    zeroes values at or below SIGMA_TRIM_REL sigma_1 that the Gram route
+    keeps, so it agrees within k (sqrt((m + n) eps) + SIGMA_TRIM_REL)
+    sigma_1.
+    """
+
+    @staticmethod
+    def nuclear_bound(a):
+        eps = np.finfo(float).eps
+        per_value = math.sqrt(sum(a.shape) * eps) + SIGMA_TRIM_REL
+        return min(a.shape) * per_value * sigma_max(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=solve_cases())
+    def test_match_the_lapack_oracles(self, case):
+        obs, cfg = case
+        rep = solve(obs, cfg)
+        coeff = cfg.reg.shrink_coeff(cfg.lam)
+        eps = np.finfo(float).eps
+
+        # coeff weighs ||U||_* in the penalty, and ||V||_* too for BiN; the
+        # loss and FN's ||V||_F^2 are the oracle's own bits
+        fp0 = initial_factors(obs, cfg)
+        bound = self.nuclear_bound(fp0.u)
+        if cfg.reg is Regularizer.BIN:
+            bound += self.nuclear_bound(fp0.v)
+        want = objective(fp0, obs, cfg)
+        assert abs(rep.objective_trace[0] - want) <= coeff * bound + 4 * eps * abs(want)
+
+        u, v = rep.factors.u, rep.factors.v
+        r = masked_residual(u, v, obs)
+        q = -sp_dot(obs, r, v)
+        opt = rep.optimality
+        sig_q = sigma_max(q)
+        assert abs(opt.q_spectral - sig_q) <= math.sqrt(min(q.shape) * eps) * sig_q
+        gap = abs(float(np.sum(q * u)) - coeff * nuclear_norm(u))
+        assert abs(opt.duality_gap - gap) <= coeff * self.nuclear_bound(u)
+        rnorm = float(np.linalg.norm(r))
+        assert opt.degenerate == (rnorm == 0.0)
+        if rnorm:
+            assert opt.c2 == pytest.approx(np.linalg.norm(q) / rnorm, rel=1e-12)
+        assert opt.c2_lower == pytest.approx(coeff / np.linalg.norm(obs.values), rel=1e-12)
 
 
 class TestRegTermConsistency:
@@ -1052,6 +1124,35 @@ class TestSpectralInitOracle:
             )
         initial_factors(obs, SolverConfig(reg=Regularizer.FN, lam=1.0, d=3, init=init, seed=2))
         assert calls == expected
+
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    @pytest.mark.parametrize(
+        "case, init, expected",
+        [
+            ("dense-40x30", InitStrategy.SPECTRAL_SCALED, (1, 2)),
+            ("sparse-300x250", InitStrategy.SPECTRAL_SCALED, (1, 2)),
+            ("dense-40x30", InitStrategy.GAUSSIAN_SCALED, (0, 0)),
+        ],
+    )
+    def test_solve_lapack_budget(self, monkeypatch, reg, case, init, expected):
+        # the initializer's one thin SVD and the QRs of its two power-step
+        # blocks; the start, the loop and the report take every spectrum
+        # from d x d Gram eigendecompositions
+        m, n, block_rows, block_cols, dense_path = self.CASES[case]
+        obs = exact_low_rank_set(m, n, block_rows, block_cols, np.array([9.0, 4.0, 1.0]), 5)
+        assert sparse_obs._dense_path(obs) is dense_path
+        calls = {"svd": 0, "qr": 0}
+        for name in calls:
+            routine = getattr(np.linalg, name)
+
+            def counted(*args, name=name, routine=routine, **kwargs):
+                calls[name] += 1
+                return routine(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rep = solve(obs, SolverConfig(reg=reg, lam=1.0, d=3, max_iters=20, init=init, seed=2))
+        assert rep.iterations > 0
+        assert (calls["svd"], calls["qr"]) == expected
 
     @pytest.mark.parametrize("reg", list(Regularizer))
     def test_block_width_clips_at_the_smaller_dimension(self, reg):
