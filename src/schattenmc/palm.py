@@ -26,16 +26,17 @@ calls.  A step whose objective exceeds the last accepted one is discarded
 for the plain step and t restarts at 1 (monotone restart: Li & Lin, NeurIPS
 2015), so the objective never increases.
 
-Every spectrum a solve takes after its initializer comes from LAPACK
-``eigh`` of a block's d x d Gram matrix (``linalg._gram_eigh``), never from
-an SVD of the tall block: the loop's shrinkage (``_svt``) and spectral norm
-(``_sigma_max``), the start's ||U||_*, ||V||_2 and BiN's ||V||_*, and the
-optimality report's ||Q||_2 and ||U||_*.  That resolves singular values to
-about sqrt(d eps) sigma_1 only and moves iterates at rounding level.  A
-spectral solve makes one LAPACK SVD, of its initializer's block, and two
-QRs; the public ``svt_prox`` and ``objective`` stay on LAPACK's SVD as the
-oracles.  Loss sums go through ``linalg._sum_of_squares``, never a BLAS
-dot, so their bits do not follow the BLAS thread count.
+Every spectrum a solve takes after its initializer comes from the Gram
+route of ``linalg`` (LAPACK ``eigh`` of a block's d x d Gram), never from
+an SVD of the tall block: the loop's shrinkage ``_svt`` and the
+``_singular_values`` of the start, of FN's V step and of the optimality
+report; ``_iterate_at`` reads ||V||_2 and the penalty from them.  That
+resolves singular values to about sqrt(d eps) sigma_1 only and moves
+iterates at rounding level.  A spectral solve makes one LAPACK SVD, of its
+initializer's block, and two QRs; the public ``svt_prox`` and ``objective``
+stay on LAPACK's SVD as the oracles.  Loss sums go through
+``linalg._sum_of_squares``, never a BLAS dot, so their bits do not follow
+the BLAS thread count.
 
 ``step`` checks its factors once on entry and ``solve`` starts from factors
 it made; from there the iteration calls the unchecked kernels of
@@ -58,8 +59,9 @@ from .linalg import (
     ThinSVD,
     _as_count,
     _frobenius_norm,
-    _gram_eigh,
+    _singular_values,
     _sum_of_squares,
+    _svt,
     as_matrix,
     frobenius_norm,
     nuclear_norm,
@@ -205,44 +207,6 @@ def svt_prox(a, tau: float) -> np.ndarray:
     return (f.left * np.maximum(f.singular_values - tau, 0.0)) @ f.right.T
 
 
-def _svt(a: np.ndarray, tau: float):
-    """The loop's shrinkage of the nonempty finite float64 block ``a``
-    (unchecked) by the Gram route, and the singular values of the result,
-    non-increasing; tau = 0 returns ``a`` itself.
-
-    With a^T a = R diag(s^2) R^T the result is a R diag(max(s - tau, 0) / s)
-    R^T, or the same map applied from the left when ``a`` is wide.
-    """
-    if tau == 0.0:
-        return a, _singular_values(a)
-    s, basis = _gram_eigh(a, vectors=True)
-    shrunk = np.maximum(s - tau, 0.0)
-    # tau > 0 here, so a zero s divides 0 by tau
-    weights = (basis * (shrunk / np.maximum(s, tau))) @ basis.T
-    out = a @ weights if a.shape[0] >= a.shape[1] else weights @ a
-    return out, shrunk[::-1]
-
-
-def _singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of the finite float64 block ``a`` (unchecked) by the
-    Gram route, non-increasing and untrimmed."""
-    return _gram_eigh(a, vectors=False)[0][::-1]
-
-
-def _nuclear_norm(a: np.ndarray) -> float:
-    """||a||_* of the finite float64 block ``a`` (unchecked) by the Gram
-    route, untrimmed."""
-    return float(np.sum(_singular_values(a)))
-
-
-def _sigma_max(a: np.ndarray) -> float:
-    """||a||_2 of the finite float64 block ``a`` (unchecked) by the Gram
-    route: the square root of the Gram's top eigenvalue; 0.0 for an empty
-    block."""
-    s = _singular_values(a)
-    return float(s[0]) if s.size else 0.0
-
-
 def frob_prox(b, l: float, lam: float) -> np.ndarray:
     """Minimizer of (lam/3)||V||_F^2 + (l/2)||V - b||_F^2: a rescaling of b."""
     if not 0.0 < l < math.inf:
@@ -256,14 +220,6 @@ def _frob_rescale(b: np.ndarray, l: float, lam: float) -> np.ndarray:
     return (l / (l + 2.0 * lam / 3.0)) * b
 
 
-def _reg_term(u, v, config: SolverConfig, nuclear) -> float:
-    """The penalty at (u, v), its nuclear norms taken by ``nuclear``."""
-    if config.lam == 0.0:
-        return 0.0
-    v_term = frobenius_norm(v) ** 2 if config.reg is Regularizer.FN else nuclear(v)
-    return config.reg.penalty(config.lam, nuclear(u), v_term)
-
-
 def _finite(block: np.ndarray, name: str) -> np.ndarray:
     """Pass ``block`` through, or raise NumericalError if it overflowed."""
     if not np.isfinite(block).all():
@@ -275,7 +231,11 @@ def objective(fp: FactorPair, obs: SparseObservations, config: SolverConfig) -> 
     """Penalty plus half the squared masked residual norm, the penalty's
     norms by LAPACK's SVD: the oracle of the solver's objective trace."""
     r = masked_residual(fp.u, fp.v, obs)
-    return _reg_term(fp.u, fp.v, config, nuclear_norm) + 0.5 * _sum_of_squares(r)
+    reg_val = 0.0
+    if config.lam:
+        v_term = frobenius_norm(fp.v) ** 2 if config.reg is Regularizer.FN else nuclear_norm(fp.v)
+        reg_val = config.reg.penalty(config.lam, nuclear_norm(fp.u), v_term)
+    return reg_val + 0.5 * _sum_of_squares(r)
 
 
 def _add_momentum(block: np.ndarray, x, x_prev, beta: float) -> None:
@@ -296,11 +256,21 @@ class _Iterate(NamedTuple):
     objective: float
 
 
+def _iterate_at(u, v, su, sv, r: np.ndarray, config: SolverConfig) -> _Iterate:
+    """The iterate at (u, v), d >= 1, with singular values su and sv
+    (non-increasing) and residual values r: ||V||_2 is sv[0], and the
+    penalty comes from sum(su) and ||V||_F^2 (FN) or sum(sv) (BIN)."""
+    reg_val = 0.0
+    if config.lam:
+        v_term = _frobenius_norm(v) ** 2 if config.reg is Regularizer.FN else float(np.sum(sv))
+        reg_val = config.reg.penalty(config.lam, float(np.sum(su)), v_term)
+    return _Iterate(u, v, float(sv[0]), r, reg_val + 0.5 * _sum_of_squares(r))
+
+
 def _start(u, v, r: np.ndarray, config: SolverConfig) -> _Iterate:
     """The iterate at the checked factors (u, v), d >= 1, with residual
     values r there; its spectra come from the Gram route, as in the loop."""
-    reg_val = _reg_term(u, v, config, _nuclear_norm)
-    return _Iterate(u, v, _sigma_max(v), r, reg_val + 0.5 * _sum_of_squares(r))
+    return _iterate_at(u, v, _singular_values(u), _singular_values(v), r, config)
 
 
 def _advance(it: _Iterate, obs, config: SolverConfig, beta: float = 0.0, prev=None):
@@ -310,8 +280,8 @@ def _advance(it: _Iterate, obs, config: SolverConfig, beta: float = 0.0, prev=No
     where (u_prev, v_prev) = prev, are added to the U- and V-step blocks
     before their proximal maps; the gradients and Lipschitz constants are
     those of the plain step.  The shrunk spectra are the new factors'
-    spectra, so the next Lipschitz constants and the penalty cost no extra
-    SVDs.
+    spectra, so the next Lipschitz constants and the penalty take no other
+    spectrum than FN's values of V.
     """
     lam = config.lam
     coeff = config.reg.shrink_coeff(lam)
@@ -329,16 +299,10 @@ def _advance(it: _Iterate, obs, config: SolverConfig, beta: float = 0.0, prev=No
     _finite(b_v, "V step")
     if config.reg is Regularizer.FN:
         v1 = _frob_rescale(b_v, l_h, lam)
-        sig_v1 = _sigma_max(v1)
-        v_term = _frobenius_norm(v1) ** 2
+        sv = _singular_values(v1)
     else:
         v1, sv = _svt(b_v, coeff / l_h)
-        sig_v1 = float(sv[0])
-        v_term = float(np.sum(sv))
-    reg_val = config.reg.penalty(lam, float(np.sum(su)), v_term)
-
-    r1 = _residual(u1, v1, obs)
-    return _Iterate(u1, v1, sig_v1, r1, reg_val + 0.5 * _sum_of_squares(r1)), l_g, l_h
+    return _iterate_at(u1, v1, su, sv, _residual(u1, v1, obs), config), l_g, l_h
 
 
 def step(fp: FactorPair, obs: SparseObservations, config: SolverConfig):
@@ -431,14 +395,15 @@ def _optimality(fp: FactorPair, r: np.ndarray, obs, config: SolverConfig) -> Opt
     """``optimality_residual`` at (U, V) with residual values r there."""
     q = -sp_dot(obs, r, fp.v)  # P_omega(D - U V^T) V
     coeff = config.reg.shrink_coeff(config.lam)
-    q_spectral = _sigma_max(q)
-    gap = abs(float(np.sum(q * fp.u)) - coeff * _nuclear_norm(fp.u))
+    s = _singular_values(q)
+    q_spectral = float(s[0]) if s.size else 0.0
+    gap = abs(float(np.sum(q * fp.u)) - coeff * float(np.sum(_singular_values(fp.u))))
     rnorm = math.sqrt(_sum_of_squares(r))
     if rnorm == 0.0:
         c2 = math.inf
         degenerate = True
     else:
-        c2 = math.sqrt(float(np.sum(q * q))) / rnorm
+        c2 = _frobenius_norm(q) / rnorm
         degenerate = False
     gamma = _sum_of_squares(obs.values)
     c2_lower = coeff / math.sqrt(gamma) if gamma > 0.0 else math.inf

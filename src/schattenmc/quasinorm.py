@@ -27,6 +27,7 @@ import numpy as np
 
 from .linalg import (
     ThinSVD,
+    _as_count,
     as_matrix,
     as_stack,
     nuclear_norm,
@@ -149,7 +150,9 @@ def optimal_factor_pair(x, reg: Regularizer, d: int) -> FactorPair:
 
 
 def factor_pair_from_svd(f: ThinSVD, reg: Regularizer, d: int) -> FactorPair:
-    """``optimal_factor_pair`` of the matrix whose thin SVD is ``f``."""
+    """``optimal_factor_pair`` of the matrix whose thin SVD is ``f``; d is
+    an integer >= 0 (0 only for a zero matrix)."""
+    d = _as_count(d, "d", minimum=0)
     s = trim_singular_values(f.singular_values)
     rank = int(np.count_nonzero(s))
     if d < rank:

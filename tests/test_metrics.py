@@ -6,7 +6,7 @@ import pytest
 
 from schattenmc.data import gen_synthetic, parse_movielens
 from schattenmc.metrics import bound_terms, psnr, rmse, rse
-from schattenmc.palm import SolverConfig, solve
+from schattenmc.palm import SolverConfig, optimality_residual, solve
 from schattenmc.quasinorm import FactorPair, Regularizer
 from schattenmc.sparse_obs import SparseObservations, _dense_path, sample_mask
 
@@ -175,3 +175,13 @@ class TestBoundTerms:
         assert (bt.c2, bt.c2_lower, bt.degenerate) == (opt.c2, opt.c2_lower, opt.degenerate)
         # the solve's own diagnostics stand in for a second optimality pass
         assert bound_terms(inst.observations, report.factors, cfg.lam, cfg.d, opt) == bt
+
+    @pytest.mark.parametrize("d", [-1, 2.5, True, 0])
+    def test_rejects_d_that_is_not_a_positive_integer(self, d):
+        # checked also when the optimality report is passed in, which
+        # leaves no SolverConfig to check it
+        obs = SparseObservations(2, 2, [0, 1], [0, 1], [3.0, 4.0])
+        fp = FactorPair(np.ones((2, 1)), np.ones((2, 1)))
+        opt = optimality_residual(fp, obs, SolverConfig(Regularizer.FN, 1.0, 1))
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            bound_terms(obs, fp, 1.0, d, opt)

@@ -164,7 +164,7 @@ class TestGramRoute:
         want, want_spectrum = lapack_svt(a, tau)
         assert np.isfinite(out).all()
         assert np.linalg.norm((out - want) / unit) <= bound
-        assert abs(palm._sigma_max(a) - sigma_1) / unit <= bound
+        assert abs(palm._singular_values(a)[0] - sigma_1) / unit <= bound
         assert spectrum.shape == want_spectrum.shape
         assert np.all(np.diff(spectrum) <= 0.0)
         assert np.abs(spectrum - want_spectrum).max() / unit <= math.sqrt(sum(a.shape) * eps)
@@ -184,7 +184,7 @@ class TestGramRoute:
         a = scale * low_rank(philox(21), *shape, 4)
         for tau in (0.0, 1e-3 * sigma_max(a), 0.5 * sigma_max(a)):
             self.assert_matches_lapack(a, tau)
-        assert palm._sigma_max(a) == pytest.approx(sigma_max(a), rel=1e-14)
+        assert palm._singular_values(a)[0] == pytest.approx(sigma_max(a), rel=1e-14)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -204,7 +204,6 @@ class TestGramRoute:
 
         gram = outcome()
         monkeypatch.setattr(palm, "_svt", lapack_svt)
-        monkeypatch.setattr(palm, "_sigma_max", sigma_max)
         monkeypatch.setattr(palm, "_singular_values", lambda a: np.linalg.svd(a, compute_uv=False))
         lapack = outcome()
         assert type(gram) is type(lapack)
@@ -228,7 +227,7 @@ class TestGramRoute:
         monkeypatch.setattr(np.linalg, routine, no_convergence)
         a = philox(22).standard_normal((8, 3))
         with pytest.raises(NumericalError, match="eigh did not converge"):
-            palm._svt(a, 0.5) if routine == "eigh" else palm._sigma_max(a)
+            palm._svt(a, 0.5) if routine == "eigh" else palm._singular_values(a)
 
     def test_eigh_failure_in_the_loop_is_solve_failure(self, monkeypatch):
         # FN makes one eigh call per step (its U-step shrinkage); the fourth
@@ -1138,11 +1137,31 @@ class TestSpectralInitOracle:
         # the initializer's one thin SVD and the QRs of its two power-step
         # blocks; the start, the loop and the report take every spectrum
         # from d x d Gram eigendecompositions
+        calls, rep = self.counted_solve(monkeypatch, ("svd", "qr"), case, reg, init)
+        assert rep.iterations > 0
+        assert (calls["svd"], calls["qr"]) == expected
+
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    @pytest.mark.parametrize("init", list(InitStrategy))
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_solve_gram_budget(self, monkeypatch, reg, init, case):
+        # s = iterations + restarts advances: FN shrinks U (one eigh) and
+        # reads V's values (one eigvalsh) in each, BiN shrinks U and V (two
+        # eigh); the start and the report read two spectra each
+        calls, rep = self.counted_solve(monkeypatch, ("eigh", "eigvalsh"), case, reg, init)
+        s = rep.iterations + rep.restarts
+        assert rep.iterations > 0
+        expected = (s, 4 + s) if reg is Regularizer.FN else (2 * s, 4)
+        assert (calls["eigh"], calls["eigvalsh"]) == expected
+
+    def counted_solve(self, monkeypatch, names, case, reg, init):
+        """The calls of each ``np.linalg`` routine in ``names`` made by a
+        lam = 1, 20-iteration solve of the case's set, and its report."""
         m, n, block_rows, block_cols, dense_path = self.CASES[case]
         obs = exact_low_rank_set(m, n, block_rows, block_cols, np.array([9.0, 4.0, 1.0]), 5)
         assert sparse_obs._dense_path(obs) is dense_path
-        calls = {"svd": 0, "qr": 0}
-        for name in calls:
+        calls = dict.fromkeys(names, 0)
+        for name in names:
             routine = getattr(np.linalg, name)
 
             def counted(*args, name=name, routine=routine, **kwargs):
@@ -1151,8 +1170,7 @@ class TestSpectralInitOracle:
 
             monkeypatch.setattr(np.linalg, name, counted)
         rep = solve(obs, SolverConfig(reg=reg, lam=1.0, d=3, max_iters=20, init=init, seed=2))
-        assert rep.iterations > 0
-        assert (calls["svd"], calls["qr"]) == expected
+        return calls, rep
 
     @pytest.mark.parametrize("reg", list(Regularizer))
     def test_block_width_clips_at_the_smaller_dimension(self, reg):

@@ -105,6 +105,16 @@ class TestOptimalFactorPair:
         with pytest.raises(ValueError):
             optimal_factor_pair(x, Regularizer.FN, 3)
 
+    @pytest.mark.parametrize("d", [2.0, True, -1, "2"])
+    def test_rejects_d_that_is_not_an_integer(self, d):
+        with pytest.raises(ValueError, match="d must be a non-negative integer"):
+            optimal_factor_pair(np.zeros((3, 2)), Regularizer.FN, d)
+
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    def test_zero_matrix_takes_zero_columns(self, reg):
+        pair = optimal_factor_pair(np.zeros((3, 2)), reg, 0)
+        assert pair.u.shape == (3, 0) and pair.v.shape == (2, 0)
+
 
 class TestFactorSurrogate:
     def test_fn_closed_form(self):
