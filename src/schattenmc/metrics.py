@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_count, _sum_of_squares, as_matrix, frobenius_norm
+from .linalg import _sum_of_squares, as_matrix, frobenius_norm
 from .palm import OptimalityReport, SolverConfig, optimality_residual
 from .quasinorm import FactorPair, Regularizer
 from .sparse_obs import SparseObservations, masked_residual
@@ -74,11 +74,12 @@ def bound_terms(
 ) -> BoundTerms:
     """Bound terms at ``fp``.  ``optimality`` may pass in the FN diagnostics
     at (fp, lam), such as an FN solve's ``SolveReport.optimality``, in place
-    of a second optimality pass.  d must be a positive integer."""
-    d = _as_count(d, "d")
+    of a second optimality pass.  lam and d take ``SolverConfig``'s checks
+    either way: lam finite and >= 0, d a positive integer."""
+    config = SolverConfig(Regularizer.FN, lam, d)
     opt = optimality
     if opt is None:
-        opt = optimality_residual(fp, obs, SolverConfig(Regularizer.FN, lam, d))
+        opt = optimality_residual(fp, obs, config)
     beta = float(np.max(np.abs(obs.values))) if obs.nnz else 0.0
     if obs.nnz:
         sample_term = (obs.m * d * math.log(obs.m) / obs.nnz) ** 0.25

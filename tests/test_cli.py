@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from schattenmc.cli import main
-from schattenmc.data import GrayImage, write_pgm
+from schattenmc.data import GrayImage, gen_synthetic, write_pgm
 from schattenmc.palm import SolveFailure
+from schattenmc.sparse_obs import SparseObservations
 
 from conftest import philox
 
@@ -168,6 +170,28 @@ class TestSynth:
         summary = json.loads((out / "summary.json").read_text())
         assert "eigh did not converge" in summary["error"]
         assert len(summary["objective_trace"]) == 3
+        assert summary["runs_completed"] == 0
+
+    @pytest.mark.parametrize("reg", ["fn", "bin"])
+    def test_loss_overflow_exits_3(self, tmp_path, monkeypatch, capsys, reg):
+        # gen_synthetic(30, 30, 3, 0.1, 0.5, 1) with every value x 1e160: the
+        # blocks stay finite, but the start's squared residual norm overflows
+        def huge(*args):
+            inst = gen_synthetic(30, 30, 3, 0.1, 0.5, 1)
+            o = inst.observations
+            big = SparseObservations(o.m, o.n, o.row_idx, o.col_idx, o.values * 1e160)
+            return dataclasses.replace(inst, observations=big)
+
+        monkeypatch.setattr("schattenmc.cli.gen_synthetic", huge)
+        out = tmp_path / "huge"
+        rc = main(
+            ["synth", "--m", "30", "--n", "30", "--rank", "3", "--nf", "0.1", "--sr", "0.5",
+             "--d", "3", "--lambda", "1", "--reg", reg, "--out", str(out)]
+        )
+        assert rc == 3
+        assert "numerical failure: run 0: objective is non-finite" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["objective_trace"] == []
         assert summary["runs_completed"] == 0
 
 

@@ -176,10 +176,19 @@ class TestBoundTerms:
         # the solve's own diagnostics stand in for a second optimality pass
         assert bound_terms(inst.observations, report.factors, cfg.lam, cfg.d, opt) == bt
 
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_rejects_lam_outside_the_finite_non_negatives(self, lam):
+        # with or without the optimality report, which was taken at lam 1
+        obs = SparseObservations(2, 2, [0, 1], [0, 1], [3.0, 4.0])
+        fp = FactorPair(np.ones((2, 1)), np.ones((2, 1)))
+        opt = optimality_residual(fp, obs, SolverConfig(Regularizer.FN, 1.0, 1))
+        for report in (None, opt):
+            with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+                bound_terms(obs, fp, lam, 1, report)
+
     @pytest.mark.parametrize("d", [-1, 2.5, True, 0])
     def test_rejects_d_that_is_not_a_positive_integer(self, d):
-        # checked also when the optimality report is passed in, which
-        # leaves no SolverConfig to check it
+        # checked also when the optimality report is passed in
         obs = SparseObservations(2, 2, [0, 1], [0, 1], [3.0, 4.0])
         fp = FactorPair(np.ones((2, 1)), np.ones((2, 1)))
         opt = optimality_residual(fp, obs, SolverConfig(Regularizer.FN, 1.0, 1))
