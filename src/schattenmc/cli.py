@@ -29,7 +29,7 @@ from .data import (
     split_train_test,
     write_pgm,
 )
-from .linalg import NumericalError
+from .linalg import NumericalError, _as_count, _as_real
 from .metrics import bound_terms, psnr, rmse, rse
 from .palm import InitStrategy, SolverConfig, solve
 from .quasinorm import Regularizer
@@ -252,30 +252,30 @@ def _cmd_verify(args) -> int:
     return 0 if payload["all_passed"] else 1
 
 
-def _checked(convert, test, rule: str):
-    """An argparse type: ``convert`` the text, then require ``test`` of the
-    value, or fail as "must be <rule>, got <text>"."""
+def _flag(convert, check, **rule):
+    """An argparse type: ``convert`` the text, then hold the value to the library's
+    ``check(value, name, **rule)``, as "must be <rule>, got <text>" with the text as typed."""
 
-    def check(text):
+    def parse(text):
         value = convert(text)
-        if not test(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
-        return value
+        try:
+            return check(value, "", **rule)
+        except ValueError as exc:
+            must_be = str(exc).partition(", got ")[0].strip()
+            raise argparse.ArgumentTypeError(f"{must_be}, got {text}") from None
 
     # argparse names the type in "invalid int value" for text that fails to convert
-    check.__name__ = convert.__name__
-    return check
+    parse.__name__ = convert.__name__
+    return parse
 
 
-_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
-# np.random.SeedSequence, which every command seeds through, takes no negative int
-_seed = _checked(int, lambda v: v >= 0, ">= 0")
-# written so that nan fails too; the solver flags take SolverConfig's rules
-_non_negative = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
-_positive = _checked(float, lambda v: 0.0 < v < math.inf, "finite and positive")
-_sampling_ratio = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-_train_frac = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
-_corrupt_frac = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+_positive_int = _flag(int, _as_count)
+_seed = _flag(int, _as_count, minimum=0)
+_non_negative = _flag(float, _as_real, rule="finite and >= 0")
+_positive = _flag(float, _as_real, rule="finite and positive")
+_sampling_ratio = _flag(float, _as_real, rule="in (0, 1]")
+_train_frac = _flag(float, _as_real, rule="in (0, 1)")
+_corrupt_frac = _flag(float, _as_real, rule="in [0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_count
+from .linalg import _as_count, _as_real
 from .rng import philox_rng, spawn_seeds
 from .sparse_obs import SparseObservations, sample_mask
 
@@ -84,10 +84,8 @@ def gen_synthetic(m: int, n: int, r: int, nf: float, sr: float, seed: int) -> Sy
     m, n, r = _as_count(m, "m"), _as_count(n, "n"), _as_count(r, "r")
     if r > min(m, n):
         raise ValueError(f"rank must be in [1, min(m, n)], got {r}")
-    if not (0.0 < sr <= 1.0):
-        raise ValueError(f"sampling ratio must be in (0, 1], got {sr}")
-    if not 0.0 <= nf < math.inf:
-        raise ValueError(f"noise factor must be finite and >= 0, got {nf}")
+    _as_real(sr, "sampling ratio", "in (0, 1]")
+    _as_real(nf, "noise factor", "finite and >= 0")
     factor_seed, mask_seed, noise_seed = spawn_seeds(seed, 3)
     rng = philox_rng(factor_seed)
     u = rng.standard_normal((m, r))
@@ -305,8 +303,7 @@ def split_train_test(rs: SparseObservations, train_fraction: float, seed: int):
     the first ``k`` positions of a seeded permutation are marked as train,
     and each side's indices are read off the mark in order.
     """
-    if not (0.0 < train_fraction < 1.0):
-        raise ValueError(f"train fraction must be in (0, 1), got {train_fraction}")
+    _as_real(train_fraction, "train fraction", "in (0, 1)")
     k = int(math.floor(train_fraction * rs.nnz + 1e-9))
     is_train = np.zeros(rs.nnz, dtype=bool)
     is_train[philox_rng(seed).permutation(rs.nnz)[:k]] = True
@@ -409,10 +406,8 @@ def corrupt_image(img: GrayImage, fraction: float, noise_sigma: float, seed: int
     set holds only the kept pixels.  The degraded image (noise written over
     the corrupted positions, centered mid-range) is returned for reporting.
     """
-    if not (0.0 <= fraction < 1.0):
-        raise ValueError(f"corruption fraction must be in [0, 1), got {fraction}")
-    if not 0.0 <= noise_sigma < math.inf:
-        raise ValueError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
+    _as_real(fraction, "corruption fraction", "in [0, 1)")
+    _as_real(noise_sigma, "noise sigma", "finite and >= 0")
     h, w = img.height, img.width
     mask_seed, noise_seed = spawn_seeds(seed, 2)
     mask = np.zeros((h, w), dtype=bool)
@@ -426,7 +421,8 @@ def corrupt_image(img: GrayImage, fraction: float, noise_sigma: float, seed: int
     degraded = img.pixels.astype(np.float64)
     n_bad = int(mask.sum())
     if n_bad:
-        noise = philox_rng(noise_seed).normal(127.5, noise_sigma, size=n_bad)
+        # abs: numpy's normal rejects the -0.0 that the rule accepts
+        noise = philox_rng(noise_seed).normal(127.5, abs(noise_sigma), size=n_bad)
         degraded[mask] = noise
     degraded = np.clip(np.rint(degraded), 0, 255).astype(np.uint8)
     return obs, Corruption(mask=mask, degraded=GrayImage(degraded))

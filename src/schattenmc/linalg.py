@@ -77,6 +77,23 @@ def _as_count(value, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
+_INTERVALS = {  # of ``_as_real``, keyed by the text its error gives; nan fails each
+    "finite and >= 0": lambda v: 0.0 <= v < math.inf,
+    "finite and positive": lambda v: 0.0 < v < math.inf,
+    "in (0, 1]": lambda v: 0.0 < v <= 1.0,
+    "in (0, 1)": lambda v: 0.0 < v < 1.0,
+    "in [0, 1)": lambda v: 0.0 <= v < 1.0,
+}
+
+
+def _as_real(value, name: str, rule: str):
+    """``value`` itself; ValueError naming ``name`` unless it is a real, not
+    a bool, in the interval ``rule`` (numpy's bool is not a ``numbers.Real``)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and _INTERVALS[rule](value)):
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class ThinSVD:
     """Thin singular value decomposition ``a == left @ diag(s) @ right.T``.

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _sum_of_squares, as_matrix, frobenius_norm
+from .linalg import _as_real, _sum_of_squares, as_matrix, frobenius_norm
 from .palm import OptimalityReport, SolverConfig, optimality_residual
 from .quasinorm import FactorPair, Regularizer
 from .sparse_obs import SparseObservations, masked_residual
@@ -53,8 +53,7 @@ def rmse(fp: FactorPair, test: SparseObservations) -> float:
 
 def psnr(x, z, max_value: float = 255.0) -> float:
     """10 log10(max_value^2 / MSE) in dB; +inf for identical inputs."""
-    if not 0.0 < max_value < math.inf:  # written so that nan fails too
-        raise ValueError(f"max_value must be finite and positive, got {max_value}")
+    _as_real(max_value, "max_value", "finite and positive")
     x = as_matrix(x, "x")
     z = as_matrix(z, "z")
     if x.shape != z.shape:
@@ -62,7 +61,10 @@ def psnr(x, z, max_value: float = 255.0) -> float:
     mse = float(np.mean((x - z) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(max_value**2 / mse)
+    try:
+        return 10.0 * math.log10(max_value**2 / mse)
+    except (OverflowError, ValueError):  # the square overflowed or the ratio reached 0
+        return 20.0 * math.log10(max_value) - 10.0 * math.log10(mse)
 
 
 def bound_terms(

@@ -55,9 +55,9 @@ the BLAS thread count.
 ``step`` checks its factors once on entry and ``solve`` starts from factors
 it made; from there the iteration calls the unchecked kernels of
 ``sparse_obs`` and ``linalg``.  Three checks stay in the loop, each a
-``NumericalError``: each step block is tested for overflow, every
-objective for being finite (the loss overflows long before the blocks,
-from data near 1e155 on), and a LAPACK convergence failure.
+``NumericalError``: each Lipschitz constant and step block is tested for
+overflow, every objective for being finite (the loss overflows long before
+the blocks, from data near 1e155 on), and a LAPACK convergence failure.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ from .linalg import (
     NumericalError,
     ThinSVD,
     _as_count,
+    _as_real,
     _frobenius_norm,
     _singular_values,
     _sum_of_squares,
@@ -159,11 +160,8 @@ class SolverConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ValueError(f"{name} must be a member of {kind.__name__}, got {value!r}")
-        # written so that nan fails too
-        if not 0.0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        _as_real(self.lam, "lam", "finite and >= 0")
+        _as_real(self.epsilon, "epsilon", "finite and positive")
         for name in ("d", "max_iters"):
             _as_count(getattr(self, name), name)
         _as_count(self.seed, "seed", minimum=0)
@@ -219,8 +217,7 @@ def svt_prox(a, tau: float) -> np.ndarray:
 
     tau = 0 is the identity and returns a copy of ``a`` unchanged.
     """
-    if not 0.0 <= tau < math.inf:
-        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+    _as_real(tau, "tau", "finite and >= 0")
     a = as_matrix(a)
     if tau == 0.0:
         return a.copy()
@@ -232,10 +229,8 @@ def svt_prox(a, tau: float) -> np.ndarray:
 
 def frob_prox(b, l: float, lam: float) -> np.ndarray:
     """Minimizer of (lam/3)||V||_F^2 + (l/2)||V - b||_F^2: a rescaling of b."""
-    if not 0.0 < l < math.inf:
-        raise ValueError(f"l must be finite and positive, got {l}")
-    if not 0.0 <= lam < math.inf:
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    _as_real(l, "l", "finite and positive")
+    _as_real(lam, "lam", "finite and >= 0")
     return _frob_rescale(as_matrix(b), l, lam)
 
 
@@ -302,6 +297,14 @@ def _start(u, v, r: np.ndarray, config: SolverConfig) -> _Iterate:
     return _iterate_at(u, v, _singular_values(u), _singular_values(v), r, config)
 
 
+def _lipschitz(sigma: float) -> float:
+    """max(sigma^2, LIPSCHITZ_FLOOR), squared by ``**``: ``*`` can move the last bit."""
+    try:
+        return max(sigma**2, LIPSCHITZ_FLOOR)
+    except OverflowError as exc:  # a Python float's square, past ~1.3e154
+        raise NumericalError(f"Lipschitz constant overflows: {sigma!r} squared") from exc
+
+
 def _advance(it: _Iterate, obs, config: SolverConfig, beta: float = 0.0, prev=None):
     """One alternation from ``it``; returns (next iterate, l_g, l_h).
 
@@ -316,12 +319,12 @@ def _advance(it: _Iterate, obs, config: SolverConfig, beta: float = 0.0, prev=No
     coeff = config.reg.shrink_coeff(lam)
     u, v = it.u, it.v
 
-    l_g = max(it.sig_v**2, LIPSCHITZ_FLOOR)
+    l_g = _lipschitz(it.sig_v)
     b_u = u - sp_dot(obs, it.r, v) / l_g
     if beta:
         _add_momentum(b_u, u, prev[0], beta)
     u1, su = _svt(_finite(b_u, "U step"), coeff / l_g)
-    l_h = max(float(su[0]) ** 2, LIPSCHITZ_FLOOR)
+    l_h = _lipschitz(float(su[0]))
     b_v = v - sp_tdot(obs, _residual(u1, v, obs), u1) / l_h
     if beta:
         _add_momentum(b_v, v, prev[1], beta)

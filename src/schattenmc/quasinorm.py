@@ -19,7 +19,6 @@ reuse it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,6 +27,7 @@ import numpy as np
 from .linalg import (
     ThinSVD,
     _as_count,
+    _as_real,
     as_matrix,
     as_stack,
     nuclear_norm,
@@ -121,8 +121,7 @@ def schatten_quasi_norm(x, p: float) -> float:
 
 def spectrum_quasi_norm(s, p: float) -> float:
     """(sum s_i^p)^(1/p) over the positive entries of a spectrum ``s``."""
-    if not 0.0 < p < math.inf:  # written so that nan fails too
-        raise ValueError(f"p must be finite and positive, got {p}")
+    _as_real(p, "p", "finite and positive")
     s = s[s > 0.0]
     if s.size == 0:
         return 0.0
@@ -193,8 +192,7 @@ def trace_power(b, p: float) -> float:
     Diagonal entries in [-1e-12, 0) are clamped to zero; materially
     negative entries are rejected.
     """
-    if not 0.0 < p < math.inf:  # written so that nan fails too
-        raise ValueError(f"p must be finite and positive, got {p}")
+    _as_real(p, "p", "finite and positive")
     b = as_matrix(b)
     if b.shape[0] != b.shape[1]:
         raise ValueError(f"trace_power requires a square matrix, got {b.shape}")

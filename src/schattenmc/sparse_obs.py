@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_count, as_matrix
+from .linalg import _as_count, _as_real, as_matrix
 from .rng import philox_rng
 
 # Multiply-add counter for the residual kernel (testing instrumentation).
@@ -161,10 +161,10 @@ def _scatter(obs: SparseObservations, values) -> np.ndarray:
 
 
 # cells of the largest m x n buffer (512 KB) the rule adds below density 1/3.
-# The cap was measured against an earlier sparse path that paid a fixed cost
-# per factor column, not against the CSR products.  It is kept so that no
-# set changes path: a set that moves changes its output bits, so re-tuning
-# the cap is a declared behaviour change of its own
+# It keeps the 100 x 100 criterion-7 shape (2000 entries, density 0.2) on
+# BLAS: forcing the CSR products there took the lam-5 FN solves from
+# 0.59-0.80 s to 1.20-1.30 s.  A set that moves changes its output bits, so
+# re-tuning the cap is a declared behaviour change of its own
 _DENSE_CELLS = 2**16
 
 
@@ -302,8 +302,7 @@ def sample_mask(m: int, n: int, sr: float, seed: int):
     lexicographically by (row, col).  m and n must be positive integers.
     """
     m, n = _as_count(m, "m"), _as_count(n, "n")
-    if not (0.0 < sr <= 1.0):
-        raise ValueError(f"sampling ratio must be in (0, 1], got {sr}")
+    _as_real(sr, "sampling ratio", "in (0, 1]")
     total = m * n
     # the 1e-9 nudge guards against float undershoot of exact products
     k = int(math.floor(sr * total + 1e-9))

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import json
@@ -6,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from schattenmc.cli import main
-from schattenmc.data import GrayImage, gen_synthetic, write_pgm
-from schattenmc.palm import SolveFailure
+from schattenmc.cli import build_parser, main
+from schattenmc.data import GrayImage, corrupt_image, gen_synthetic, split_train_test, write_pgm
+from schattenmc.palm import SolveFailure, SolverConfig
+from schattenmc.quasinorm import Regularizer
 from schattenmc.sparse_obs import SparseObservations
 
 from conftest import philox
@@ -443,6 +445,64 @@ def test_flag_rule_message(capsys):
     with pytest.raises(SystemExit):
         main(["synth", "--sr", "0", "--out", "unused"])
     assert "argument --sr: must be in (0, 1], got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--trials", "0"], "argument --trials: must be a positive integer, got 0"),
+        (["verify", "--seed", "-1"], "argument --seed: must be a non-negative integer, got -1"),
+    ],
+    ids=["count", "seed"],
+)
+def test_int_flag_rule_message(capsys, argv, message):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert message in capsys.readouterr().err
+
+
+_PIXELS = GrayImage(np.zeros((2, 2), np.uint8))
+# The library call that takes each float flag's value, and so the rule the
+# flag is held to.
+_FLOAT_FLAG_CALLS = {
+    "--lambda": lambda x: SolverConfig(Regularizer.FN, lam=x, d=1),
+    "--epsilon": lambda x: SolverConfig(Regularizer.FN, lam=1.0, d=1, epsilon=x),
+    "--nf": lambda x: gen_synthetic(4, 4, 1, x, 0.5, 0),
+    "--sr": lambda x: gen_synthetic(4, 4, 1, 0.0, x, 0),
+    "--train-frac": lambda x: split_train_test(SparseObservations(1, 2, [0, 0], [0, 1], [1.0, 2.0]), x, 0),
+    "--corrupt-frac": lambda x: corrupt_image(_PIXELS, x, 1.0, 0),
+    "--noise-sigma": lambda x: corrupt_image(_PIXELS, 0.5, x, 0),
+}
+
+
+def _float_flags():
+    """(command, flag) of every flag that the CLI parses as a float."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, action.option_strings[0])
+        for command, sub in commands.choices.items()
+        for action in sub._actions
+        if getattr(action.type, "__name__", None) == "float"
+    ]
+
+
+def test_every_float_flag_has_a_library_call():
+    assert {flag for _, flag in _float_flags()} == set(_FLOAT_FLAG_CALLS)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "-0.5"])  # outside every float rule
+@pytest.mark.parametrize("command, flag", _float_flags(), ids=[" ".join(cf) for cf in _float_flags()])
+def test_float_flag_usage_text_is_the_library_rule(capsys, command, flag, text):
+    with pytest.raises(ValueError) as library:
+        _FLOAT_FLAG_CALLS[flag](float(text))
+    with pytest.raises(SystemExit):
+        main([command, f"{flag}={text}", "--out", "unused"])
+    usage = capsys.readouterr().err.strip().splitlines()[-1]
+    # "argument <flag>: must be <rule>, got <text>" against the library's
+    # "<name> must be <rule>, got <value>", whose value prints as the text
+    must_be = usage.partition(f"argument {flag}: ")[2]
+    assert must_be.startswith("must be ") and str(library.value).endswith(f" {must_be}")
 
 
 @pytest.mark.parametrize(

@@ -636,6 +636,12 @@ class TestCorruptImage:
             with pytest.raises(ValueError, match="noise sigma"):
                 corrupt_image(img, 0.5, sigma, 0)
 
+    def test_negative_zero_noise_sigma_is_zero(self):
+        # the rule accepts -0.0 (it is >= 0); numpy's normal would reject it
+        img = self.make_image(6)
+        noisy = corrupt_image(img, 0.5, -0.0, 0)[1].degraded.pixels
+        assert np.array_equal(noisy, corrupt_image(img, 0.5, 0.0, 0)[1].degraded.pixels)
+
 
 class TestGrayImage:
     def test_rejects_out_of_range(self):

@@ -1,9 +1,29 @@
+import math
+import numbers
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schattenmc import sigma_max
+from schattenmc import (
+    GrayImage,
+    Regularizer,
+    SolverConfig,
+    SparseObservations,
+    corrupt_image,
+    frob_prox,
+    gen_synthetic,
+    psnr,
+    run_property_suite,
+    sample_mask,
+    schatten_quasi_norm,
+    sigma_max,
+    split_train_test,
+    svt_prox,
+    trace_power,
+)
 from schattenmc.linalg import (
     NumericalError,
     frobenius_norm,
@@ -11,6 +31,7 @@ from schattenmc.linalg import (
     singular_values,
     thin_svd,
 )
+from schattenmc.quasinorm import spectrum_quasi_norm
 
 from conftest import low_rank, philox
 
@@ -201,3 +222,110 @@ def test_lapack_failure_raises_numerical_error(monkeypatch, call):
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     with pytest.raises(NumericalError, match="did not converge"):
         call(np.eye(3))
+
+
+def test_numpy_scalars_register_with_the_number_tower():
+    # _as_count and _as_real read numpy's ints and floats through these ABCs,
+    # and reject numpy's bool because it registers as neither
+    for kind in (np.int8, np.int64, np.uint32, np.uint64):
+        assert issubclass(kind, numbers.Integral), kind
+    for kind in (np.float16, np.float32, np.float64, np.longdouble):
+        assert issubclass(kind, numbers.Real) and not issubclass(kind, numbers.Integral), kind
+    assert not issubclass(np.bool_, numbers.Real)
+    assert not issubclass(np.bool_, numbers.Integral)
+
+
+def _ratings():
+    return SparseObservations(4, 4, np.arange(4).repeat(4), np.tile(np.arange(4), 4), np.ones(16))
+
+
+_IMAGE = GrayImage(np.full((4, 4), 100, np.uint8))
+
+# Every public real parameter: (call with the parameter set to x, the name
+# its error gives, its interval).  The other arguments are valid.
+_REAL_PARAMETERS = {
+    "SolverConfig.lam": (lambda x: SolverConfig(Regularizer.FN, lam=x, d=1), "lam", "finite and >= 0"),
+    "SolverConfig.epsilon": (
+        lambda x: SolverConfig(Regularizer.FN, lam=1.0, d=1, epsilon=x), "epsilon", "finite and positive"
+    ),
+    "svt_prox.tau": (lambda x: svt_prox(np.eye(2), x), "tau", "finite and >= 0"),
+    "frob_prox.l": (lambda x: frob_prox(np.eye(2), x, 1.0), "l", "finite and positive"),
+    "frob_prox.lam": (lambda x: frob_prox(np.eye(2), 1.0, x), "lam", "finite and >= 0"),
+    "gen_synthetic.nf": (lambda x: gen_synthetic(4, 4, 1, x, 0.5, 0), "noise factor", "finite and >= 0"),
+    "gen_synthetic.sr": (lambda x: gen_synthetic(4, 4, 1, 0.0, x, 0), "sampling ratio", "in (0, 1]"),
+    "sample_mask.sr": (lambda x: sample_mask(4, 4, x, 0), "sampling ratio", "in (0, 1]"),
+    "split_train_test.train_fraction": (
+        lambda x: split_train_test(_ratings(), x, 0), "train fraction", "in (0, 1)"
+    ),
+    "corrupt_image.fraction": (lambda x: corrupt_image(_IMAGE, x, 1.0, 0), "corruption fraction", "in [0, 1)"),
+    "corrupt_image.noise_sigma": (lambda x: corrupt_image(_IMAGE, 0.5, x, 0), "noise sigma", "finite and >= 0"),
+    "psnr.max_value": (lambda x: psnr(np.eye(2), np.zeros((2, 2)), x), "max_value", "finite and positive"),
+    "schatten_quasi_norm.p": (lambda x: schatten_quasi_norm(np.eye(2), x), "p", "finite and positive"),
+    "spectrum_quasi_norm.p": (lambda x: spectrum_quasi_norm(np.ones(2), x), "p", "finite and positive"),
+    "trace_power.p": (lambda x: trace_power(np.eye(2), x), "p", "finite and positive"),
+}
+
+_TINY = 5e-324  # the smallest positive float
+_ABOVE_ONE = float(np.nextafter(1.0, 2.0))
+# Per interval: the values at and beyond its ends that it rejects, and ints,
+# numpy ints and numpy floats inside it (no int lies in (0, 1)).
+_BOUNDARIES = {
+    "finite and >= 0": (
+        [-_TINY, -1],
+        [0, 0.0, -0.0, 2, np.int64(2), np.uint8(3), np.float64(0.0), np.float32(2.5)],
+    ),
+    "finite and positive": (
+        [0, 0.0, -0.0, -_TINY],
+        [_TINY, 3, np.int64(3), np.float64(0.5), np.float32(2.5)],
+    ),
+    "in (0, 1]": ([0, 0.0, -_TINY, _ABOVE_ONE, 2], [1, 1.0, np.int64(1), np.float64(0.5), np.float32(0.25)]),
+    "in (0, 1)": ([0, 0.0, 1, 1.0, -_TINY], [0.75, np.float64(0.5), np.float32(0.25)]),
+    "in [0, 1)": ([1, 1.0, -_TINY, _ABOVE_ONE], [0, 0.0, np.int64(0), np.float64(0.5), np.float32(0.25)]),
+}
+# rejected by every interval: bools (numpy's too), non-numbers, nan and both infinities
+_NOT_REALS = [True, False, np.True_, np.False_, "0.5", None, math.nan, math.inf, -math.inf]
+
+# The public functions that take a seed: call with the seed set to x.
+_SEED_PARAMETERS = {
+    "gen_synthetic": lambda x: gen_synthetic(4, 4, 1, 0.0, 0.5, x),
+    "sample_mask": lambda x: sample_mask(4, 4, 0.5, x),
+    "split_train_test": lambda x: split_train_test(_ratings(), 0.5, x),
+    "corrupt_image": lambda x: corrupt_image(_IMAGE, 0.5, 1.0, x),
+    "run_property_suite": lambda x: run_property_suite(1, x),
+}
+
+
+def _cases(accept: bool):
+    for param, (call, name, rule) in _REAL_PARAMETERS.items():
+        rejected, accepted = _BOUNDARIES[rule]
+        for value in accepted if accept else rejected + _NOT_REALS:
+            yield pytest.param(call, name, rule, value, id=f"{param}-{value!r}")
+
+
+@pytest.mark.parametrize("call, name, rule, value", _cases(accept=False))
+def test_real_parameter_rejects(call, name, rule, value):
+    message = f"{name} must be {rule}, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, name, rule, value", _cases(accept=True))
+def test_real_parameter_accepts(call, name, rule, value):
+    call(value)
+
+
+@pytest.mark.parametrize("value", [-1, 2.5, True, np.True_, "1", None, np.float64(1.0)], ids=repr)
+@pytest.mark.parametrize("call", _SEED_PARAMETERS.values(), ids=list(_SEED_PARAMETERS))
+def test_seed_rejects(call, value):
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [0, 7, np.int64(7), np.uint32(7), 2**64 - 1], ids=repr)
+@pytest.mark.parametrize("call", _SEED_PARAMETERS.values(), ids=list(_SEED_PARAMETERS))
+def test_seed_accepts(call, value):
+    call(value)
+
+
+def test_seed_of_numpy_int_draws_the_int_stream():
+    assert sample_mask(8, 8, 0.5, np.uint32(7))[0].tolist() == sample_mask(8, 8, 0.5, 7)[0].tolist()

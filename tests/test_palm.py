@@ -283,6 +283,16 @@ class TestLipschitz:
             rhs = lg * frobenius_norm(u1 - u2)
             assert lhs <= rhs * (1 + 1e-10)
 
+    @pytest.mark.parametrize("reg", list(Regularizer), ids=lambda r: r.value)
+    @pytest.mark.parametrize("u_scale, v_scale", [(1e160, 1e-160), (1e-160, 1e160)], ids=["l_h", "l_g"])
+    def test_overflow_is_numerical_error(self, reg, u_scale, v_scale):
+        # squaring a Python float past ~1.3e154 raises OverflowError: l_h
+        # squares the shrunk ||U||_2, l_g the ||V||_2 of the start
+        obs = SparseObservations(3, 3, np.arange(3), np.arange(3), np.ones(3))
+        fp = FactorPair(np.full((3, 1), u_scale), np.full((3, 1), v_scale))
+        with pytest.raises(NumericalError, match=r"Lipschitz constant overflows: 1\.73\d*e\+160 squared"):
+            step(fp, obs, SolverConfig(reg, lam=0.0, d=1))
+
 
 class TestBoundaryChecks:
     """The public proximal maps and ``step`` reject non-finite input and
