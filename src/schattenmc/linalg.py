@@ -10,8 +10,10 @@ A LAPACK convergence failure surfaces as ``NumericalError``.
 
 The solver takes the spectra of its m x d and n x d blocks by the Gram
 route: ``_gram_eigh`` (LAPACK ``eigh`` of the block's d x d Gram matrix,
-after an exact power-of-two prescale), its ``_singular_values`` and the
-shrinkage ``_svt``.  It is several times cheaper than the thin SVD of a
+after the exact power-of-two prescale ``_pow2_scaled``), its
+``_singular_values``, the shrinkage ``_svt`` and the truncated thin SVD
+``_gram_svd`` of the initializer's m x (d + 10) block, whose other side's
+vectors are a r / s.  It is several times cheaper than the thin SVD of a
 tall block but resolves singular values to about sqrt(d eps) sigma_1, not
 eps sigma_1.  On the verify suite's 30 x 20 matrices that is
 sqrt(20 eps) sigma_1 ~ 6.7e-8 sigma_1, and a zero value can read as up to
@@ -152,6 +154,14 @@ def sigma_max(a) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def _pow2_scaled(a: np.ndarray):
+    """``a`` scaled by the power of two 2^-e that brings max|a| into
+    [0.5, 1), and e (0 for a zero matrix).  The scaling is exact but for
+    entries that it takes below the normal range, far below eps max|a|."""
+    exponent = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    return np.ldexp(a, -exponent), exponent
+
+
 def _gram_eigh(a: np.ndarray, vectors: bool):
     """Singular values of the finite float64 matrix ``a`` (unchecked; none
     when it has no columns), ascending, from LAPACK ``eigh`` of its smaller
@@ -168,8 +178,7 @@ def _gram_eigh(a: np.ndarray, vectors: bool):
     sigma_1, since the Gram's rounding also grows with the length of its
     sums.
     """
-    exponent = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
-    scaled = np.ldexp(a, -exponent)
+    scaled, exponent = _pow2_scaled(a)
     gram = scaled.T @ scaled if a.shape[0] >= a.shape[1] else scaled @ scaled.T
     try:
         if vectors:
@@ -179,6 +188,30 @@ def _gram_eigh(a: np.ndarray, vectors: bool):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"LAPACK eigh did not converge: {exc}") from exc
     return np.ldexp(np.sqrt(np.maximum(w, 0.0)), exponent), basis
+
+
+def _gram_svd(a: np.ndarray, k: int) -> ThinSVD:
+    """Leading k <= min(m, n) singular triplets of the nonempty finite
+    float64 matrix ``a`` (unchecked) by the Gram route: the values and the
+    vectors of ``_gram_eigh`` (the right vectors, or the left ones when
+    ``a`` is wide), and the other side's vectors a r / s (a^T l / s).
+
+    Unlike ``ThinSVD`` elsewhere, the columns on that other side are zero
+    where s = 0, and the rest lose orthonormality as s falls toward the Gram
+    route's resolution, about sqrt(w eps) sigma_1 with w = min(m, n); left
+    diag(s) right^T is the rank-k truncation of ``a`` to about that much.
+    a and s are scaled by the same power of two before the division, so it
+    overflows for no ``a`` whose sigma_1 is finite.
+    """
+    s, basis = _gram_eigh(a, vectors=True)
+    s, basis = s[::-1][:k], basis[:, ::-1][:, :k]
+    tall = a.shape[0] >= a.shape[1]
+    # sigma_1 >= max|a|, so after this scaling every entry of a r is below 1
+    exponent = math.frexp(float(s[0]))[1] if k else 0
+    scaled_s = np.ldexp(s, -exponent)
+    other = np.ldexp(a if tall else a.T, -exponent) @ basis
+    other = np.divide(other, scaled_s, out=np.zeros_like(other), where=scaled_s > 0.0)
+    return ThinSVD(other, s, basis) if tall else ThinSVD(basis, s, other)
 
 
 def _singular_values(a: np.ndarray) -> np.ndarray:

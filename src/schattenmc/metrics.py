@@ -62,9 +62,13 @@ def psnr(x, z, max_value: float = 255.0) -> float:
     if mse == 0.0:
         return math.inf
     try:
-        return 10.0 * math.log10(max_value**2 / mse)
-    except (OverflowError, ValueError):  # the square overflowed or the ratio reached 0
-        return 20.0 * math.log10(max_value) - 10.0 * math.log10(mse)
+        ratio = max_value**2 / mse
+    except OverflowError:  # the square overflowed
+        ratio = math.inf
+    if 0.0 < ratio < math.inf:
+        return 10.0 * math.log10(ratio)
+    # the square or the quotient left the float range
+    return 20.0 * math.log10(max_value) - 10.0 * math.log10(mse)
 
 
 def bound_terms(

@@ -39,16 +39,17 @@ prox.  Without the rank gate, the balanced split of a spurious direction
 (d above the data's rank at a small lam) decays far more slowly under the
 scalar steps than the unbalanced one the loop would keep.
 
-Every spectrum a solve takes after its initializer comes from the Gram
-route of ``linalg`` (LAPACK ``eigh`` of a block's d x d Gram) or from a
-re-split, never from an SVD of the tall block: the loop's shrinkage
-``_svt`` and the ``_singular_values`` of the start, of FN's V step and of
-the optimality report; ``_iterate_at`` reads ||V||_2 and the penalty from
-them.  That resolves singular values to about sqrt(d eps) sigma_1 only and
-moves iterates at rounding level.  A spectral solve makes one LAPACK SVD,
-of its initializer's block, and two QRs, plus one SVD of order at most d
-and two thin QRs of the factors per re-split; the public ``svt_prox`` and
-``objective`` stay on LAPACK's SVD as the oracles.  Loss sums go through
+Every spectrum a solve takes comes from the Gram route of ``linalg``
+(LAPACK ``eigh`` of a block's small Gram) or from a re-split, never from
+an SVD of a tall block: the initializer's last SVD ``_gram_svd``, the
+loop's shrinkage ``_svt`` and the ``_singular_values`` of the start, of
+FN's V step and of the optimality report; ``_iterate_at`` reads ||V||_2
+and the penalty from them.  That resolves singular values to about
+sqrt(d eps) sigma_1 only and moves iterates at rounding level.  A spectral
+solve's initializer makes one QR and no LAPACK SVD, and each re-split one
+SVD of order at most d and two thin QRs of the factors, so the re-split is
+a solve's only SVD; the public ``svt_prox`` and ``objective`` stay on
+LAPACK's SVD as the oracles.  Loss sums go through
 ``linalg._sum_of_squares``, never a BLAS dot, so their bits do not follow
 the BLAS thread count.
 
@@ -75,6 +76,8 @@ from .linalg import (
     _as_count,
     _as_real,
     _frobenius_norm,
+    _gram_svd,
+    _pow2_scaled,
     _singular_values,
     _sum_of_squares,
     _svd,
@@ -89,6 +92,7 @@ from .rng import philox_rng, spawn_seeds
 from .sparse_obs import (
     SparseObservations,
     _check_pair,
+    _operator,
     _residual,
     masked_residual,
     sp_dot,
@@ -116,9 +120,13 @@ LIPSCHITZ_FLOOR = 1e-12
 
 # Power steps q and oversampling p of the spectral initializer's randomized
 # range finder: the block has k + p columns, of which k are kept.  q = 1 makes
-# three products with the observed matrix; over long solves its start did
-# about as well as q = 4's nine products, while q = 0 cost ~17% more
-# iterations at the criterion-7 protocol.
+# three products with the observed matrix and one QR; over long solves its
+# start did about as well as q = 4's nine products, while q = 0 cost ~17%
+# more iterations at the criterion-7 protocol.  Each step rescales its first
+# block instead of orthonormalizing it, which loses only directions below
+# about sqrt(eps) sigma_1 per step (Halko et al. 2011, Alg. 4.3): at q = 1
+# all of them lie under the 1e-7 trim of the split, but a larger q would
+# need that QR back.
 _INIT_POWER_ITERS = 1
 _INIT_OVERSAMPLE = 10
 
@@ -493,29 +501,39 @@ def _optimality(fp: FactorPair, r: np.ndarray, obs, config: SolverConfig) -> Opt
 
 
 def _truncated_sparse_svd(obs: SparseObservations, values, k: int, rng) -> ThinSVD:
-    """Leading-k singular triplets of the sparse matrix by a randomized range
-    finder (Halko, Martinsson & Tropp, SIAM Rev. 2011, Alg. 4.4).
+    """Leading-k singular triplets of the sparse matrix S by a randomized
+    range finder (Halko, Martinsson & Tropp, SIAM Rev. 2011, Alg. 4.3 with
+    a QR on each step's last block).
 
-    A Gaussian block of w = min(k + p, m, n) columns takes q power steps,
-    2q + 1 products with the matrix in all; the thin SVD of the matrix times
-    the final basis is then truncated to its leading k triplets, returned as
-    a ``ThinSVD`` of k columns.  The p extra columns stand in for the
+    S is built once (``sparse_obs._operator``) and a Gaussian block of
+    w = min(k + p, m, n) columns takes q power steps, 2q + 1 products with
+    S in all; the thin SVD of S times the final basis, by the Gram route
+    (``linalg._gram_svd``), gives the leading k triplets, returned as a
+    ``ThinSVD`` of k columns.  The p extra columns stand in for the
     spectral gap at sigma_k that the data need not have.  The Gaussian block
     is not orthonormalized, since its QR factor spans the same space; it is
     only scaled by 2^-e, e = floor(log2 n + 1) // 2, which brings its
     columns' expected norm sqrt(n) into [1/sqrt(2), sqrt(2)), so its
-    product overflows no sooner than that of an orthonormal block.  The power step's blocks are
-    orthonormalized by Householder QR, which also spans a rank-deficient
-    block with w orthonormal columns, so the final basis is orthonormal as
-    the right factor needs (hence q >= 1).
+    product overflows no sooner than that of an orthonormal block.  Each
+    power step's first block S q is not orthonormalized either, only
+    rescaled exactly by the power of two that brings its max|.| into
+    [0.5, 1), so the next product's entries stay below the absolute column
+    sums of S at any data scale; rounding then loses only directions below
+    about sqrt(eps) sigma_1.  The step's last block is orthonormalized by
+    Householder QR, which also spans a rank-deficient block with w
+    orthonormal columns, so the final basis is orthonormal as the right
+    factor needs (hence q >= 1).  The Gram route resolves the values to
+    about sqrt(w eps) sigma_1, the scale of the values nearest the split's
+    1e-7 trim; its left vectors are zero where a value is 0.
     """
     w = min(k + _INIT_OVERSAMPLE, obs.m, obs.n)
+    s = _operator(obs, values)
     q = np.ldexp(rng.standard_normal((obs.n, w)), -(obs.n.bit_length() // 2))
     for _ in range(_INIT_POWER_ITERS):
-        left = np.linalg.qr(_finite(sp_dot(obs, values, q), "initializer block"))[0]
-        q = np.linalg.qr(_finite(sp_tdot(obs, values, left), "initializer block"))[0]
-    f = thin_svd(_finite(sp_dot(obs, values, q), "initializer block"))
-    return ThinSVD(f.left[:, :k], f.singular_values[:k], q @ f.right[:, :k])
+        y = _pow2_scaled(_finite(s @ q, "initializer block"))[0]
+        q = np.linalg.qr(_finite(s.T @ y, "initializer block"))[0]
+    f = _gram_svd(_finite(s @ q, "initializer block"), k)
+    return ThinSVD(f.left, f.singular_values, q @ f.right)
 
 
 def initial_factors(obs: SparseObservations, config: SolverConfig) -> FactorPair:
@@ -525,9 +543,12 @@ def initial_factors(obs: SparseObservations, config: SolverConfig) -> FactorPair
     scaled observed matrix (m*n/|omega|) * P_omega(D), approximated by a
     seeded randomized range finder: a Gaussian block of d + 10 columns (at
     most min(m, n)), scaled by a power of two but not orthonormalized,
-    takes one power step, three products with the observed matrix and two
-    QRs, and the thin SVD of the last product is truncated to the leading
-    min(d, m, n) triplets.  The split is the penalty's optimal
+    takes one power step, three products with the observed matrix and one
+    QR, and the leading min(d, m, n) triplets of the last product come from
+    the eigendecomposition of its Gram matrix, with no LAPACK SVD.  Values
+    are resolved to about sqrt(w eps) sigma_1, w the block's column count,
+    so one near the trim may fall on either side of it where LAPACK's SVD
+    would not.  The split is the penalty's optimal
     factorization, ``quasinorm.factor_pair_from_svd``, which also zeroes
     the triplets at or below the numerical-rank trim; a mismatched split
     leaves a factor-rebalancing transient that the alternation crosses only

@@ -182,7 +182,9 @@ def factor_surrogate_value(u, v, reg: Regularizer):
         v_term = np.einsum("...ij,...ij->...", v, v)
     else:
         v_term = nuclear_norm(v)
-    value = reg.penalty(1.0, nuclear_norm(u), v_term) ** (1.0 / reg.p)
+    # numpy's power, not a Python float's: one pair overflows to inf, as a
+    # stack does, instead of raising OverflowError
+    value = np.float64(reg.penalty(1.0, nuclear_norm(u), v_term)) ** (1.0 / reg.p)
     return float(value) if np.ndim(value) == 0 else value
 
 

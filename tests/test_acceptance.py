@@ -370,16 +370,16 @@ def power_law_set(seed, m, n, nnz, rank, noise):
 # every probe.  A change that moves them is a declared behaviour change and
 # re-freezes them.
 FROZEN_SPARSE_PATH = {
-    "fn": (0.16904546346695581, 1971.2038436518696, 252, True),
-    "bin": (0.12218346961628337, 760.0354201079622, 535, True),
+    "fn": (0.16904546346695506, 1971.2038436518699, 252, True),
+    "bin": (0.12218346961628396, 760.0354201079623, 535, True),
 }
 
 # The same solves stopped at 25 iterations, the solver's re-split period:
 # no re-split fires before then, so these are the bits of the loop without
 # one, frozen from it.
 FROZEN_SPARSE_PATH_25 = {
-    "fn": (0.3236648638510438, 2283.7173280834613),
-    "bin": (0.3187287041087325, 1044.6137484146325),
+    "fn": (0.32366486385104365, 2283.717328083462),
+    "bin": (0.3187287041087309, 1044.613748414636),
 }
 
 

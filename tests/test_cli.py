@@ -154,13 +154,13 @@ class TestSynth:
         assert summary["manifest"]["wall_time_s"] > 0.0
 
     def test_eigh_failure_exits_3_with_partial_trace(self, tmp_path, monkeypatch, capsys):
-        # the loop's shrinkage runs on LAPACK eigh; its third call fails,
-        # inside the first run's third step
+        # the spectral start's last SVD and the loop's shrinkage run on LAPACK
+        # eigh; its fourth call fails, inside the first run's third step
         original, calls = np.linalg.eigh, {"n": 0}
 
         def flaky(a, *args, **kwargs):
             calls["n"] += 1
-            if calls["n"] == 3:
+            if calls["n"] == 4:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return original(a, *args, **kwargs)
 

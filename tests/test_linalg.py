@@ -26,6 +26,7 @@ from schattenmc import (
 )
 from schattenmc.linalg import (
     NumericalError,
+    _gram_svd,
     frobenius_norm,
     nuclear_norm,
     singular_values,
@@ -200,6 +201,51 @@ class TestStackConsistency:
 def test_svd_invariants_property(m, n, seed):
     a = philox(seed).standard_normal((m, n))
     svd_invariants(a, thin_svd(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 30),
+    n=st.integers(1, 30),
+    rank=st.integers(0, 30),
+    k=st.integers(0, 30),
+    exponent=st.sampled_from([-500, 0, 500]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_svd_matches_thin_svd(m, n, rank, k, exponent, seed):
+    # singular values 2^e (1, 1/2, 1/4, ...) over `rank` directions, so the
+    # leading-k truncation has a gap of half sigma_k and is well defined
+    w = min(m, n)
+    rank, k = min(rank, w), min(k, w)
+    rng = philox(seed)
+    left = np.linalg.qr(rng.standard_normal((m, w)))[0][:, :rank]
+    right = np.linalg.qr(rng.standard_normal((n, w)))[0][:, :rank]
+    a = np.ldexp((left * 0.5 ** np.arange(rank)) @ right.T, exponent)
+    f = _gram_svd(a, k)
+    want = thin_svd(a)
+    assert f.left.shape == (m, k) and f.singular_values.shape == (k,) and f.right.shape == (n, k)
+    eps = np.finfo(float).eps
+    tol = math.sqrt(w * eps) * want.singular_values[0]
+    assert np.all(np.abs(f.singular_values - want.singular_values[:k]) <= tol)
+    # the eigh side (the right vectors of a tall block, the left of a wide
+    # one) is orthonormal; the other side is a r / s, zero where s = 0
+    basis, other = (f.right, f.left) if m >= n else (f.left, f.right)
+    assert np.abs(basis.T @ basis - np.eye(k)).max(initial=0.0) <= 8 * w * eps
+    assert not other[:, f.singular_values == 0.0].any()
+    if rank == 0:
+        assert not f.singular_values.any()
+    rebuilt = (f.left * f.singular_values) @ f.right.T
+    truncation = (want.left[:, :k] * want.singular_values[:k]) @ want.right[:, :k].T
+    assert np.linalg.norm(rebuilt - truncation, 2) <= tol
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5)], ids=["tall", "wide"])
+def test_gram_svd_of_a_zero_block_has_zero_vectors_off_the_eigh_side(shape):
+    f = _gram_svd(np.zeros(shape), 3)
+    basis, other = (f.right, f.left) if shape[0] >= shape[1] else (f.left, f.right)
+    assert np.array_equal(f.singular_values, np.zeros(3))
+    assert np.array_equal(other, np.zeros_like(other))
+    assert np.abs(basis.T @ basis - np.eye(3)).max() <= 1e-15
 
 
 def test_numerical_error_is_runtime_error():

@@ -120,13 +120,18 @@ class TestPsnr:
         assert psnr(x, z) == pytest.approx(10 * math.log10(255**2 / mse), rel=1e-9)
 
     @pytest.mark.parametrize(
-        "max_value, diff", [(1e200, 1.0), (5e-324, 1.0), (1e-100, 1e100)],
-        ids=["square-overflows", "square-underflows", "ratio-underflows"],
+        "max_value, diff", [(1e200, 1.0), (5e-324, 1.0), (1e-100, 1e100), (1e10, 1e-150)],
+        ids=["square-overflows", "square-underflows", "ratio-underflows", "ratio-overflows"],
     )
     def test_ratio_out_of_float_range_taken_in_logs(self, max_value, diff):
         z = np.zeros((2, 2))
         expected = 20.0 * math.log10(max_value) - 10.0 * math.log10(diff * diff)
         assert psnr(z + diff, z, max_value) == pytest.approx(expected, rel=1e-12)
+
+    def test_quotient_overflow_is_not_read_as_identical_inputs(self):
+        # 1e20 / 1e-300 is inf as a Python float quotient, without raising
+        z = np.zeros((2, 2))
+        assert psnr(z + 1e-150, z, 1e10) == pytest.approx(3200.0, rel=1e-12)
 
     @pytest.mark.parametrize("max_value", [0.0, -255.0, math.nan, math.inf, -math.inf])
     def test_rejects_max_value_outside_the_positive_reals(self, max_value):

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from schattenmc import palm, sigma_max, sparse_obs
 from schattenmc.data import gen_synthetic
-from schattenmc.linalg import SIGMA_TRIM_REL, NumericalError, frobenius_norm, nuclear_norm
+from schattenmc.linalg import (
+    SIGMA_TRIM_REL,
+    NumericalError,
+    ThinSVD,
+    frobenius_norm,
+    nuclear_norm,
+    thin_svd,
+)
 from schattenmc.metrics import rse
 from schattenmc.palm import (
     InitStrategy,
@@ -233,8 +240,9 @@ class TestGramRoute:
             palm._svt(a, 0.5) if routine == "eigh" else palm._singular_values(a)
 
     def test_eigh_failure_in_the_loop_is_solve_failure(self, monkeypatch):
-        # FN makes one eigh call per step (its U-step shrinkage); the fourth
-        # fails, after the start and three accepted steps
+        # the spectral start makes one eigh call (its range finder's last
+        # SVD) and FN one per step (its U-step shrinkage); the fifth fails,
+        # after the start and three accepted steps
         inst = gen_synthetic(20, 20, 2, 0.1, 0.5, 61)
         cfg = SolverConfig(reg=Regularizer.FN, lam=1.0, d=3, max_iters=50, seed=7)
         full = solve(inst.observations, cfg)
@@ -242,7 +250,7 @@ class TestGramRoute:
 
         def flaky(a, *args, **kwargs):
             calls["n"] += 1
-            if calls["n"] == 4:
+            if calls["n"] == 5:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return original(a, *args, **kwargs)
 
@@ -1010,15 +1018,23 @@ class TestSolve:
             (1e160, "objective is non-finite"),
             (1e300, "objective is non-finite"),
             (3e306, "objective is non-finite"),
-            (1e307, "initializer block has non-finite"),
+            (1e307, "objective is non-finite"),
+            (2e307, "initializer block has non-finite"),
         ],
-        ids=["loss-overflow", "loss-overflow-1e300", "loss-overflow-3e306", "init-overflow"],
+        ids=[
+            "loss-overflow",
+            "loss-overflow-1e300",
+            "loss-overflow-3e306",
+            "init-overflow",
+            "init-block-overflow",
+        ],
     )
     def test_overflow_is_numerical_failure(self, reg, scale, message):
         # from ~1e155 on, the blocks stay finite but the squared residual norm
-        # of the start overflows.  At 3e306 the initializer's products fit
-        # only because its Gaussian block is scaled to columns of norm about
-        # 1, as an orthonormal block has
+        # of the start overflows.  At 3e306 and 1e307 the initializer's
+        # products fit only because its Gaussian block is scaled to columns
+        # of norm about 1 and its power block to max|y| in [0.5, 1); at 2e307
+        # (values up to 1.2e308) one of its blocks overflows
         o = gen_synthetic(30, 30, 3, 0.1, 0.5, 1).observations
         big = SparseObservations(o.m, o.n, o.row_idx, o.col_idx, o.values * scale)
         with pytest.raises(SolveFailure, match=message) as exc_info:
@@ -1305,8 +1321,9 @@ class TestSpectralInitOracle:
         assert np.abs(left * signs - want_left).max() <= self.RTOL
         assert np.abs(right * signs - want_right).max() <= self.RTOL
 
-    # one power step: sp_dot, sp_tdot, then sp_dot for the final SVD
-    ONE_STEP = ["sp_dot", "sp_tdot", "sp_dot"]
+    # one power step: S @ q and S^T @ y, then S @ q for the final SVD, all
+    # on one operator S
+    ONE_STEP = ["_operator", "S @", "S^T @", "S @"]
 
     @pytest.mark.parametrize(
         "case, init, expected",
@@ -1326,6 +1343,25 @@ class TestSpectralInitOracle:
             obs = exact_low_rank_set(m, n, block_rows, block_cols, np.array([9.0, 4.0, 1.0]), 5)
             assert sparse_obs._dense_path(obs) is dense_path
         calls = []
+
+        class Counted:
+            """An operator that records each product it makes."""
+
+            def __init__(self, op, name):
+                self.op, self.name = op, name
+
+            def __matmul__(self, x):
+                calls.append(f"{self.name} @")
+                return self.op @ x
+
+            @property
+            def T(self):
+                return Counted(self.op.T, "S^T")
+
+        operator = palm._operator
+        monkeypatch.setattr(
+            palm, "_operator", lambda *a: calls.append("_operator") or Counted(operator(*a), "S")
+        )
         for name in ("sp_dot", "sp_tdot"):
             kernel = getattr(palm, name)
             monkeypatch.setattr(
@@ -1338,15 +1374,15 @@ class TestSpectralInitOracle:
     @pytest.mark.parametrize(
         "case, init, expected",
         [
-            ("dense-40x30", InitStrategy.SPECTRAL_SCALED, (1, 2)),
-            ("sparse-300x250", InitStrategy.SPECTRAL_SCALED, (1, 2)),
+            ("dense-40x30", InitStrategy.SPECTRAL_SCALED, (0, 1)),
+            ("sparse-300x250", InitStrategy.SPECTRAL_SCALED, (0, 1)),
             ("dense-40x30", InitStrategy.GAUSSIAN_SCALED, (0, 0)),
         ],
     )
     def test_solve_lapack_budget(self, monkeypatch, reg, case, init, expected):
-        # the initializer's one thin SVD and the QRs of its two power-step
-        # blocks; the start, the loop and the report take every spectrum
-        # from d x d Gram eigendecompositions
+        # the QR of the initializer's final basis; its last SVD, the start,
+        # the loop and the report take every spectrum from Gram
+        # eigendecompositions
         calls, rep = self.counted_solve(monkeypatch, ("svd", "qr"), case, reg, init)
         assert rep.iterations > 0
         assert (calls["svd"], calls["qr"]) == expected
@@ -1357,26 +1393,33 @@ class TestSpectralInitOracle:
     def test_solve_gram_budget(self, monkeypatch, reg, init, case):
         # s = iterations + restarts advances: FN shrinks U (one eigh) and
         # reads V's values (one eigvalsh) in each, BiN shrinks U and V (two
-        # eigh); the start and the report read two spectra each
+        # eigh); the start and the report read two spectra each, and a
+        # spectral initializer takes its last SVD by one eigh
         calls, rep = self.counted_solve(monkeypatch, ("eigh", "eigvalsh"), case, reg, init)
         s = rep.iterations + rep.restarts
         assert rep.iterations > 0
-        expected = (s, 4 + s) if reg is Regularizer.FN else (2 * s, 4)
+        expected = self.gram_budget(reg, init, s)
         assert (calls["eigh"], calls["eigvalsh"]) == expected
+
+    @staticmethod
+    def gram_budget(reg, init, s):
+        """(eigh, eigvalsh) calls of a solve of s advances and no re-split."""
+        start = int(init is InitStrategy.SPECTRAL_SCALED)
+        return (start + s, 4 + s) if reg is Regularizer.FN else (start + 2 * s, 4)
 
     @pytest.mark.parametrize("reg", list(Regularizer))
     @pytest.mark.parametrize("case", list(CASES))
     def test_resplitting_solve_budget(self, monkeypatch, reg, case):
         # each re-split tried adds two QRs and one SVD of order at most d,
-        # and no Gram eigendecomposition
+        # and no Gram eigendecomposition; it is the solve's only SVD
         tried = spy_resplits(monkeypatch)
         names = ("svd", "qr", "eigh", "eigvalsh")
         init = InitStrategy.SPECTRAL_SCALED
         calls, rep = self.counted_solve(monkeypatch, names, case, reg, init, d=4, max_iters=60)
         r, s = len(tried), rep.iterations + rep.restarts
         assert r > 0
-        gram = (s, 4 + s) if reg is Regularizer.FN else (2 * s, 4)
-        assert tuple(calls[name] for name in names) == (1 + r, 2 + 2 * r, *gram)
+        gram = self.gram_budget(reg, init, s)
+        assert tuple(calls[name] for name in names) == (r, 1 + 2 * r, *gram)
 
     def counted_solve(self, monkeypatch, names, case, reg, init, d=3, max_iters=20):
         """The calls of each ``np.linalg`` routine in ``names`` made by a
@@ -1395,6 +1438,54 @@ class TestSpectralInitOracle:
             monkeypatch.setattr(np.linalg, name, counted)
         cfg = SolverConfig(reg=reg, lam=1.0, d=d, max_iters=max_iters, init=init, seed=2)
         return calls, solve(obs, cfg)
+
+    @staticmethod
+    def lapack_gram_svd(a, k):
+        """``linalg._gram_svd``'s leading k triplets by LAPACK's thin SVD."""
+        f = thin_svd(a)
+        return ThinSVD(f.left[:, :k], f.singular_values[:k], f.right[:, :k])
+
+    # rank-2 data at d = 6: the 16-column block's other 14 directions hold
+    # only rounding noise, which the Gram route reads near sqrt(16 eps)
+    # sigma_1 ~ 6e-8 sigma_1, below the 1e-7 trim, and LAPACK near eps sigma_1
+    PRODUCT_RTOL = 1e-10
+
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    @pytest.mark.parametrize("case", ["fully-observed", "empty-row-and-column"])
+    def test_start_above_the_data_rank_matches_the_lapack_route(self, monkeypatch, reg, case):
+        rng = philox(31)
+        x = low_rank(rng, 30, 20, 2)
+        seen = np.ones((30, 20), dtype=bool)
+        if case == "empty-row-and-column":
+            seen[4], seen[:, 7] = False, False
+        rows, cols = np.nonzero(seen)
+        obs = SparseObservations(30, 20, rows, cols, x[rows, cols])
+        cfg = SolverConfig(reg=reg, lam=1.0, d=6, seed=3)
+        gram = initial_factors(obs, cfg)
+        monkeypatch.setattr(palm, "_gram_svd", self.lapack_gram_svd)
+        lapack = initial_factors(obs, cfg)
+        for fp in (gram, lapack):
+            assert np.isfinite(fp.u).all() and np.isfinite(fp.v).all()
+
+        def start_rank(fp):  # the split zeroes the columns past the trimmed rank
+            return int(np.count_nonzero(np.abs(fp.u).max(axis=0)))
+
+        assert start_rank(gram) == start_rank(lapack) == 2
+        want = lapack.product()
+        assert np.abs(gram.product() - want).max() <= self.PRODUCT_RTOL * np.abs(want).max()
+
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    def test_start_at_3e306_reaches_the_loss_check(self, reg):
+        # the initializer's blocks and split stay finite; the solve then
+        # stops where the squared residual norm of the start overflows
+        o = gen_synthetic(30, 30, 3, 0.1, 0.5, 1).observations
+        big = SparseObservations(o.m, o.n, o.row_idx, o.col_idx, o.values * 3e306)
+        cfg = SolverConfig(reg=reg, lam=1.0, d=3)
+        fp = initial_factors(big, cfg)
+        assert np.isfinite(fp.u).all() and np.isfinite(fp.v).all()
+        assert np.abs(fp.u).max() > 0.0 and np.abs(fp.v).max() > 0.0
+        with pytest.raises(SolveFailure, match="objective is non-finite"):
+            solve(big, cfg)
 
     @pytest.mark.parametrize("reg", list(Regularizer))
     def test_block_width_clips_at_the_smaller_dimension(self, reg):

@@ -153,6 +153,18 @@ class TestFactorSurrogate:
                     factor_surrogate_value(us[i], vs[i], reg), rel=1e-10
                 )
 
+    @pytest.mark.parametrize("reg", list(Regularizer))
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_one_pair_is_a_stack_of_one_at_extreme_scales(self, reg, scale):
+        # BiN's square of a penalty near 1.7e160 overflows; FN's 3/2 power does not
+        u, v = np.full((3, 1), scale), np.ones((3, 1))
+        with np.errstate(over="ignore"):
+            one = factor_surrogate_value(u, v, reg)
+            stack = factor_surrogate_value(u[None], v[None], reg)
+        assert isinstance(one, float) and stack.shape == (1,)
+        assert one == stack[0]
+        assert math.isinf(one) is (reg is Regularizer.BIN and scale > 1.0)
+
 
 class TestTracePower:
     def test_diag(self):
